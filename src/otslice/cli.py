@@ -30,17 +30,6 @@ from .sphere import surface_area
 
 SCHEMA = 1
 
-_PARSE_ERRORS = (
-    "EmptySupport",
-    "NegativeWeight",
-    "WeightSumOutOfRange",
-    "NonFiniteCoordinates",
-    "InvalidSpec",
-    "ArgumentOutOfRange",
-    "InvalidOrder",
-    "InvalidDimension",
-)
-
 
 def _parse_scheme(text: str) -> Scheme:
     kind, _, arg = text.partition(":")
@@ -346,14 +335,11 @@ def main(argv=None) -> int:
         _fill_defaults(args, {"seed": 0, "format": "json", "threads": os.cpu_count() or 1})
         return args.fn(args)
     except OTSliceError as exc:
-        name = type(exc).__name__
-        print(f"{name}: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, DimensionMismatch):
             return 3
         if isinstance(exc, (SolverFailure, BudgetExceeded, ProblemTooLarge)):
             return 4
-        if name in _PARSE_ERRORS:
-            return 2
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

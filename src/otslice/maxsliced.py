@@ -33,7 +33,13 @@ from .errors import (
     UnsupportedDimension,
 )
 from .measures import DiscreteMeasure, moment_p, rng_stream
-from .ot1d import to_measure1d, wasserstein_1d, wasserstein_pp_batch
+from .ot1d import (
+    _monotone_rows,
+    _segments,
+    to_measure1d,
+    wasserstein_1d,
+    wasserstein_pp_batch,
+)
 from .ot_exact import wasserstein_exact
 from .sphere import as_unit, project
 
@@ -69,28 +75,22 @@ def _monotone_pairs(mu, nu, v, with_indices=False):
     px = mu.points @ v
     py = nu.points @ v
     n, m = px.shape[0], py.shape[0]
-    if n == m and np.all(mu.weights == mu.weights[0]) and np.all(nu.weights == nu.weights[0]):
-        ox = np.argsort(px, kind="stable")
-        oy = np.argsort(py, kind="stable")
-        mass = np.full(n, 1.0 / n)
-        gap = px[ox] - py[oy]
-        if with_indices:
-            return mass, gap, ox, oy
-        return mass, gap
     ox = np.argsort(px, kind="stable")
     oy = np.argsort(py, kind="stable")
-    cx = np.cumsum(mu.weights[ox])
-    cy = np.cumsum(nu.weights[oy])
-    cx[-1] = 1.0
-    cy[-1] = 1.0
-    edges = np.union1d(cx, cy)
-    left = np.concatenate(([0.0], edges[:-1]))
-    mass = edges - left
-    si = np.minimum(np.searchsorted(cx, left, side="right"), n - 1)
-    sj = np.minimum(np.searchsorted(cy, left, side="right"), m - 1)
-    keep = mass > 0.0
-    mass, si, sj = mass[keep], si[keep], sj[keep]
-    i, j = ox[si], oy[sj]
+    if n == m and np.all(mu.weights == mu.weights[0]) and np.all(nu.weights == nu.weights[0]):
+        mass = np.full(n, 1.0 / n)
+        i, j = ox, oy
+    else:
+        cx = np.cumsum(mu.weights[ox])
+        cy = np.cumsum(nu.weights[oy])
+        cx[-1] = 1.0
+        cy[-1] = 1.0
+        mass, si, sj = _segments(cx, cy)
+        # rounding can push cx or cy past 1 before its snapped last entry
+        si = np.minimum(si, n - 1)
+        sj = np.minimum(sj, m - 1)
+        keep = mass > 0.0
+        mass, i, j = mass[keep], ox[si[keep]], oy[sj[keep]]
     gap = px[i] - py[j]
     if with_indices:
         return mass, gap, i, j
@@ -294,8 +294,8 @@ def _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz):
     return f, ub
 
 
-def _patch_bounds(mu, nu, p, centers, steps, lipschitz, chunk_elems=150_000_000):
-    """Exact center distances and certified cap bounds, chunked over rows."""
+def _patch_bounds(mu, nu, p, centers, steps, lipschitz):
+    """Exact center distances and certified cap bounds for each patch."""
     pa = (mu.points @ centers.T).T
     pb = (nu.points @ centers.T).T
     R, n = pa.shape
@@ -307,46 +307,15 @@ def _patch_bounds(mu, nu, p, centers, steps, lipschitz, chunk_elems=150_000_000)
         and np.all(nu.weights == nu.weights[0])
     )
     if uniform:
-        ox = np.argsort(pa, axis=1, kind="stable")
-        oy = np.argsort(pb, axis=1, kind="stable")
-        t = np.take_along_axis(pa, ox, axis=1) - np.take_along_axis(pb, oy, axis=1)
-        diff = mu.points[ox] - nu.points[oy]
+        i = np.argsort(pa, axis=1, kind="stable")
+        j = np.argsort(pb, axis=1, kind="stable")
         mass = np.full((R, n), 1.0 / n)
-        znorm = np.linalg.norm(diff, axis=2)
-        return _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz)
-
-    ox = np.argsort(pa, axis=1, kind="stable")
-    oy = np.argsort(pb, axis=1, kind="stable")
-    sx = np.take_along_axis(pa, ox, axis=1)
-    sy = np.take_along_axis(pb, oy, axis=1)
-    cx = np.cumsum(mu.weights[ox], axis=1)
-    cy = np.cumsum(nu.weights[oy], axis=1)
-    cx[:, -1] = 1.0
-    cy[:, -1] = 1.0
-    edges = np.sort(np.concatenate([cx, cy], axis=1), axis=1)
-    left = np.concatenate([np.zeros((R, 1)), edges[:, :-1]], axis=1)
-    mass_all = edges - left
-
-    f = np.empty(R)
-    ub = np.empty(R)
-    rows_per_chunk = max(1, int(chunk_elems // max(1, (n + m) * max(n, m))))
-    for lo in range(0, R, rows_per_chunk):
-        hi = min(R, lo + rows_per_chunk)
-        six = np.sum(cx[lo:hi, None, :] <= left[lo:hi, :, None], axis=2)
-        siy = np.sum(cy[lo:hi, None, :] <= left[lo:hi, :, None], axis=2)
-        six = np.minimum(six, n - 1)
-        siy = np.minimum(siy, m - 1)
-        t = np.take_along_axis(sx[lo:hi], six, axis=1) - np.take_along_axis(
-            sy[lo:hi], siy, axis=1
-        )
-        oi = np.take_along_axis(ox[lo:hi], six, axis=1)
-        oj = np.take_along_axis(oy[lo:hi], siy, axis=1)
-        diff = mu.points[oi] - nu.points[oj]
-        znorm = np.linalg.norm(diff, axis=2)
-        f[lo:hi], ub[lo:hi] = _local_patch_bound(
-            p, centers[lo:hi], steps[lo:hi], mass_all[lo:hi], t, diff, znorm, lipschitz
-        )
-    return f, ub
+    else:
+        mass, i, j = _monotone_rows(pa, pb, mu.weights, nu.weights)
+    t = np.take_along_axis(pa, i, axis=1) - np.take_along_axis(pb, j, axis=1)
+    diff = mu.points[i] - nu.points[j]
+    znorm = np.linalg.norm(diff, axis=2)
+    return _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz)
 
 
 def _triangle_geometry(verts: np.ndarray):

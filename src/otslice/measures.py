@@ -290,11 +290,23 @@ def load_measure(path) -> DiscreteMeasure:
 
 
 def save_measure(path, mu: DiscreteMeasure) -> None:
-    """Write a measure as JSON (round-trips through :func:`load_measure`)."""
-    payload = {
-        "dim": mu.dim,
-        "points": mu.points.tolist(),
-        "weights": mu.weights.tolist(),
-    }
+    """Write a measure in the format :func:`load_measure` reads for ``path``.
+
+    A ``.json`` suffix writes JSON; any other suffix writes CSV with a
+    header row ending in ``weight``. Floats go through repr, so both formats
+    round-trip bit for bit.
+    """
+    path = Path(path)
+    if path.suffix.lower() == ".json":
+        payload = {
+            "dim": mu.dim,
+            "points": mu.points.tolist(),
+            "weights": mu.weights.tolist(),
+        }
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        return
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(",".join([f"x{k}" for k in range(mu.dim)] + ["weight"]) + "\n")
+        for row, w in zip(mu.points.tolist(), mu.weights.tolist()):
+            fh.write(",".join(repr(v) for v in row) + f",{w!r}\n")

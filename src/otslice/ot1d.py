@@ -5,7 +5,13 @@ their quantile functions on (0, 1). For finitely supported measures both
 quantile functions are piecewise constant, so the integral is a finite sum
 over the merged set of cumulative-weight breakpoints; no sampling is
 involved. The same breakpoint sweep yields the monotone (north-west-corner)
-coupling, which guarantees that plan cost and distance agree to rounding.
+coupling, so plan cost and distance agree to rounding.
+
+Two paths compute the sweep. The single-measure path (:func:`wasserstein_1d`,
+:func:`monotone_coupling`) merges Kahan-summed cumulative weights with a
+binary search per breakpoint. The batched path (:func:`wasserstein_pp_batch`)
+sweeps R rows at once from plain ``cumsum`` weights, so it agrees with the
+single-measure path to rounding, not bit for bit.
 
 Quantile convention: the strict-exceedance inverse
 ``F^{-1}(t) = inf{x : mu((-inf, x]) > t}``. The distance is insensitive to
@@ -108,17 +114,19 @@ def quantile(m: Measure1D, t):
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
 
-def _segments(mu: Measure1D, nu: Measure1D):
-    """Merged breakpoint segments of the two quantile functions.
+def _segments(cx: np.ndarray, cy: np.ndarray):
+    """Merged breakpoint segments of two cumulative-weight vectors.
 
-    Returns ``(mass, i, j)``: on a segment of length ``mass`` the quantile
-    of mu is ``mu.atoms[i]`` and the quantile of nu is ``nu.atoms[j]``.
+    ``cx`` and ``cy`` are the cumulative weights of two sorted supports, each
+    ending at exactly 1. Returns ``(mass, i, j)``: on a segment of length
+    ``mass`` the quantiles are the sorted atoms ``i`` and ``j``. Each
+    breakpoint costs one binary search.
     """
-    edges = np.union1d(mu.cum, nu.cum)  # both end at exactly 1.0
+    edges = np.union1d(cx, cy)
     left = np.concatenate(([0.0], edges[:-1]))
     mass = edges - left
-    i = np.searchsorted(mu.cum, left, side="right")
-    j = np.searchsorted(nu.cum, left, side="right")
+    i = np.searchsorted(cx, left, side="right")
+    j = np.searchsorted(cy, left, side="right")
     return mass, i, j
 
 
@@ -126,7 +134,7 @@ def wasserstein_1d(mu: Measure1D, nu: Measure1D, p: float) -> float:
     """Exact order-p distance (integral of |quantile gap|^p, then 1/p root)."""
     if p < 1:
         raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
-    mass, i, j = _segments(mu, nu)
+    mass, i, j = _segments(mu.cum, nu.cum)
     gaps = np.abs(mu.atoms[i] - nu.atoms[j])
     return float(np.sum(mass * gaps**p)) ** (1.0 / p)
 
@@ -152,10 +160,11 @@ class MonotoneCoupling:
 def monotone_coupling(mu: Measure1D, nu: Measure1D) -> MonotoneCoupling:
     """North-west-corner coupling over sorted atoms.
 
-    Shares its arithmetic with :func:`wasserstein_1d`, so the plan cost at
-    order p reproduces the distance's p-th power exactly.
+    Built from the same breakpoint segments as :func:`wasserstein_1d`;
+    consecutive segments that pair the same atoms are merged, so the plan
+    cost at order p reproduces the distance's p-th power to rounding.
     """
-    mass, i, j = _segments(mu, nu)
+    mass, i, j = _segments(mu.cum, nu.cum)
     keep = mass > 0.0
     mass, i, j = mass[keep], i[keep], j[keep]
     # merge consecutive segments that pair the same atoms
@@ -175,26 +184,61 @@ def monotone_coupling(mu: Measure1D, nu: Measure1D) -> MonotoneCoupling:
 # ---------------------------------------------------------------------------
 
 
+def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+    """Monotone merge of each row of ``xs`` (R, n) with the same row of ``ys`` (R, m).
+
+    Returns ``(mass, i, j)``, each of shape (R, n + m): on segment k of row r
+    the quantiles are ``xs[r, i[r, k]]`` and ``ys[r, j[r, k]]`` (original
+    atom indices). Each row's cumulative weights come from one stable
+    argsort and a plain ``cumsum``, snapped to end at 1. One stable argsort
+    of the concatenated ``[cx, cy]`` then lists the breakpoints in order.
+    The count of x breakpoints before position k is the sorted x atom in
+    force on segment k, and the y breakpoints give j likewise; on every
+    segment of positive mass these counts equal the number of breakpoints at
+    or below the segment's left edge, which is what a right-bisect finds.
+    Per row this costs O((n + m) log(n + m)) time and O(n + m) memory.
+    """
+    n = xs.shape[1]
+    m = ys.shape[1]
+    ox = np.argsort(xs, axis=1, kind="stable")
+    oy = np.argsort(ys, axis=1, kind="stable")
+    cx = np.cumsum(wx[ox], axis=1)
+    cy = np.cumsum(wy[oy], axis=1)
+    cx[:, -1] = 1.0
+    cy[:, -1] = 1.0
+    c = np.concatenate([cx, cy], axis=1)
+    order = np.argsort(c, axis=1, kind="stable")
+    mass = np.diff(np.take_along_axis(c, order, axis=1), axis=1, prepend=0.0)
+    from_x = order < n
+    si = np.cumsum(from_x, axis=1)
+    si -= from_x
+    sj = np.arange(n + m) - si
+    np.minimum(si, n - 1, out=si)
+    np.minimum(sj, m - 1, out=sj)
+    return mass, np.take_along_axis(ox, si, axis=1), np.take_along_axis(oy, sj, axis=1)
+
+
 def wasserstein_pp_batch(
     xs: np.ndarray,
     ys: np.ndarray,
     wx: np.ndarray,
     wy: np.ndarray,
     p: float,
-    chunk_elems: int = 200_000_000,
 ) -> np.ndarray:
     """W_p^p between rows of ``xs`` and ``ys`` (shared weight vectors).
 
     ``xs`` has shape (R, n) and ``ys`` (R, m): row r holds the atoms of two
     1D measures with weights ``wx`` and ``wy``. Same quantile convention as
     :func:`wasserstein_1d`; duplicate atoms need no merging because merging
-    does not change the quantile function.
+    does not change the quantile function. Equal-size uniform rows pair
+    their sorted atoms directly, O(n log n) per row; other rows go through
+    :func:`_monotone_rows`, O((n + m) log(n + m)) per row.
     """
     if p < 1:
         raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    R, n = xs.shape
+    n = xs.shape[1]
     m = ys.shape[1]
 
     uniform = (
@@ -207,31 +251,6 @@ def wasserstein_pp_batch(
         dx = np.sort(xs, axis=1) - np.sort(ys, axis=1)
         return np.mean(np.abs(dx) ** p, axis=1)
 
-    ox = np.argsort(xs, axis=1, kind="stable")
-    oy = np.argsort(ys, axis=1, kind="stable")
-    sx = np.take_along_axis(xs, ox, axis=1)
-    sy = np.take_along_axis(ys, oy, axis=1)
-    cx = np.cumsum(wx[ox], axis=1)
-    cy = np.cumsum(wy[oy], axis=1)
-    cx[:, -1] = 1.0
-    cy[:, -1] = 1.0
-
-    edges = np.sort(np.concatenate([cx, cy], axis=1), axis=1)
-    left = np.concatenate([np.zeros((R, 1)), edges[:, :-1]], axis=1)
-    mass = edges - left
-
-    out = np.empty(R)
-    rows_per_chunk = max(1, int(chunk_elems // max(1, (n + m) * max(n, m))))
-    for lo in range(0, R, rows_per_chunk):
-        hi = min(R, lo + rows_per_chunk)
-        # vectorized right-bisect: count cumulative weights <= left edge
-        ix = np.sum(cx[lo:hi, None, :] <= left[lo:hi, :, None], axis=2)
-        iy = np.sum(cy[lo:hi, None, :] <= left[lo:hi, :, None], axis=2)
-        ix = np.minimum(ix, n - 1)
-        iy = np.minimum(iy, m - 1)
-        gaps = np.abs(
-            np.take_along_axis(sx[lo:hi], ix, axis=1)
-            - np.take_along_axis(sy[lo:hi], iy, axis=1)
-        )
-        out[lo:hi] = np.sum(mass[lo:hi] * gaps**p, axis=1)
-    return out
+    mass, i, j = _monotone_rows(xs, ys, wx, wy)
+    gaps = np.abs(np.take_along_axis(xs, i, axis=1) - np.take_along_axis(ys, j, axis=1))
+    return np.sum(mass * gaps**p, axis=1)

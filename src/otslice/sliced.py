@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOrder
+from .errors import DimensionMismatch, InvalidOrder, InvalidSpec
 from .measures import DiscreteMeasure
 from .ot1d import to_measure1d, wasserstein_1d, wasserstein_pp_batch
 from .sphere import QuadratureGrid, quadrature_grid, sample_uniform, surface_area
@@ -125,7 +125,7 @@ def sliced_wasserstein(
             stderr = 0.0
         return SlicedEstimate(value=value, scheme=scheme, stderr=stderr, normalized=normalized)
 
-    raise InvalidOrder(f"unknown scheme kind {scheme.kind!r}")
+    raise InvalidSpec(f"unknown scheme kind {scheme.kind!r}")
 
 
 def quadrature_refinement_gap(

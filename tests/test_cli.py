@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from otslice import Scheme, cli
 from otslice.cli import main
 
 
@@ -58,6 +59,12 @@ class TestDist:
         b = tmp_path / "b.csv"
         write_point(b, (1.0, 1.0))
         assert main(["dist", str(a), str(b)]) == 2
+
+    def test_unknown_scheme_kind_exit_2(self, pair_files, monkeypatch, capsys):
+        a, b = pair_files
+        monkeypatch.setattr(cli, "default_scheme", lambda d: Scheme(kind="grid"))
+        assert main(["dist", str(a), str(b), "--metric", "sw"]) == 2
+        assert "InvalidSpec" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         b = tmp_path / "b.csv"

@@ -20,7 +20,7 @@ from otslice import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from otslice.maxsliced import _distance_batch
+from otslice.maxsliced import _distance_batch, _patch_bounds
 from conftest import random_measure, random_pair
 
 
@@ -203,6 +203,29 @@ class TestCertified:
         for e in np.eye(2):
             gap = wasserstein_1d(project(mu, e), project(nu, e), 1.0)
             assert gap <= 1e-9
+
+
+class TestPatchBounds:
+    def test_weighted_centers_equal_distance_batch(self, rng):
+        for d in (2, 3):
+            for n, m in ((1, 6), (9, 14), (17, 11)):
+                pts_a = np.round(rng.standard_normal((n, d)), 1)
+                pts_b = np.round(rng.standard_normal((m, d)), 1)
+                wa = rng.dirichlet(np.ones(n))
+                wb = rng.dirichlet(np.ones(m))
+                if n > 2:
+                    pts_a[1] = pts_a[0]
+                    wa[2] = 0.0
+                    wa /= wa.sum()
+                mu, nu = make_discrete(pts_a, wa), make_discrete(pts_b, wb)
+                centers = rng.standard_normal((50, d))
+                centers[:d] = np.eye(d)  # axis directions tie the rounded atoms
+                centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+                steps = rng.uniform(0.0, 0.2, 50)
+                for p in (1.0, 1.5, 2.0):
+                    f, ub = _patch_bounds(mu, nu, p, centers, steps, 10.0)
+                    assert np.array_equal(f, _distance_batch(mu, nu, p, centers))
+                    assert np.all(ub >= f)
 
 
 class TestSandwich:

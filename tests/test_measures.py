@@ -190,6 +190,14 @@ class TestFileFormats:
         assert np.array_equal(back.points, mu.points)
         assert np.array_equal(back.weights, mu.weights)
 
+    def test_csv_roundtrip(self, tmp_path, rng):
+        mu = make_discrete(rng.standard_normal((5, 3)), rng.dirichlet(np.ones(5)))
+        path = tmp_path / "m.csv"
+        save_measure(path, mu)
+        back = load_measure(path)
+        assert np.array_equal(back.points, mu.points)
+        assert np.array_equal(back.weights, mu.weights)
+
     def test_json_missing_weights_uniform(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"dim": 1, "points": [[0.0], [1.0]]}))

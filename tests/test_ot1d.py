@@ -14,6 +14,7 @@ from otslice import (
     wasserstein_exact,
     wasserstein_pp_batch,
 )
+from otslice.ot1d import _monotone_rows
 from conftest import random_measure
 
 
@@ -197,3 +198,70 @@ class TestBatchSweep:
             for r in range(R):
                 scalar = wasserstein_1d(line(xs[r]), line(ys[r]), p)
                 assert batch[r] == pytest.approx(scalar**p, rel=1e-9, abs=1e-12)
+
+
+def searchsorted_pp(x, y, wx, wy, p):
+    """W_p^p of one row pair by a right-bisect of every merged breakpoint.
+
+    The cumulative weights are sorted before the bisect: rounding can leave
+    a value past 1 ahead of the snapped last entry, and the merge counts
+    breakpoints, which a bisect of the sorted vector reproduces.
+    """
+    ox = np.argsort(x, kind="stable")
+    oy = np.argsort(y, kind="stable")
+    cx = np.cumsum(wx[ox])
+    cy = np.cumsum(wy[oy])
+    cx[-1] = 1.0
+    cy[-1] = 1.0
+    edges = np.sort(np.concatenate([cx, cy]))
+    left = np.concatenate(([0.0], edges[:-1]))
+    i = np.minimum(np.searchsorted(np.sort(cx), left, side="right"), x.size - 1)
+    j = np.minimum(np.searchsorted(np.sort(cy), left, side="right"), y.size - 1)
+    return np.sum((edges - left) * np.abs(x[ox][i] - y[oy][j]) ** p)
+
+
+def weighted_rows(rng, R, n, m, decimals=1):
+    """Rounded (tied) atoms, a duplicated atom and zero weights where n, m allow."""
+    xs = np.round(rng.standard_normal((R, n)), decimals)
+    ys = np.round(rng.standard_normal((R, m)), decimals)
+    wx = rng.dirichlet(np.ones(n))
+    wy = rng.dirichlet(np.ones(m))
+    if n > 2:
+        xs[:, 1] = xs[:, 0]
+        wx[2] = 0.0
+        wx /= wx.sum()
+    if m > 3:
+        wy[[0, 3]] = 0.0
+        wy /= wy.sum()
+    return xs, ys, wx, wy
+
+
+class TestMonotoneMerge:
+    SIZES = ((1, 7), (7, 1), (6, 9), (13, 5), (12, 12), (40, 55))
+
+    def test_batch_equals_searchsorted_reference(self, rng):
+        for n, m in self.SIZES:
+            for decimals in (0, 1, 3):
+                xs, ys, wx, wy = weighted_rows(rng, 30, n, m, decimals)
+                for p in (1.0, 1.5, 2.0):
+                    batch = wasserstein_pp_batch(xs, ys, wx, wy, p)
+                    ref = [searchsorted_pp(xs[r], ys[r], wx, wy, p) for r in range(30)]
+                    assert np.array_equal(batch, ref), (n, m, decimals, p)
+
+    def test_rows_are_couplings(self, rng):
+        for n, m in self.SIZES:
+            xs, ys, wx, wy = weighted_rows(rng, 10, n, m)
+            mass, i, j = _monotone_rows(xs, ys, wx, wy)
+            assert mass.shape == i.shape == j.shape == (10, n + m)
+            assert np.all(mass >= 0.0)
+            for r in range(10):
+                src = np.zeros(n)
+                np.add.at(src, i[r], mass[r])
+                tgt = np.zeros(m)
+                np.add.at(tgt, j[r], mass[r])
+                assert np.allclose(src, wx, atol=1e-12)
+                assert np.allclose(tgt, wy, atol=1e-12)
+                # monotone: the paired atoms never decrease along the row
+                live = mass[r] > 0.0
+                assert np.all(np.diff(xs[r][i[r][live]]) >= 0.0)
+                assert np.all(np.diff(ys[r][j[r][live]]) >= 0.0)

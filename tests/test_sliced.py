@@ -6,6 +6,7 @@ import pytest
 from otslice import (
     DimensionMismatch,
     InvalidOrder,
+    InvalidSpec,
     Scheme,
     make_discrete,
     sliced_wasserstein,
@@ -69,6 +70,11 @@ class TestSlicedBasics:
             sliced_wasserstein(mu, nu, 1.0)
         with pytest.raises(InvalidOrder):
             sliced_wasserstein(mu, mu, 0.5)
+
+    def test_unknown_scheme_kind(self, rng):
+        mu = random_measure(rng, 2)
+        with pytest.raises(InvalidSpec):
+            sliced_wasserstein(mu, mu, 1.0, Scheme(kind="grid"))
 
 
 class TestMonteCarlo:
