@@ -99,6 +99,7 @@ def cmd_dist(args) -> int:
     p = args.p
     metrics = {}
     wanted = ("w", "sw", "maxsw") if args.metric == "all" else (args.metric,)
+    plan = None
 
     if "w" in wanted:
         t0 = time.perf_counter()
@@ -139,7 +140,7 @@ def cmd_dist(args) -> int:
     if "maxsw" in wanted:
         t0 = time.perf_counter()
         if args.certified:
-            res = max_sliced_certified(mu, nu, p, args.tol)
+            res = max_sliced_certified(mu, nu, p, args.tol, plan=plan)
         else:
             res = max_sliced(mu, nu, p, starts=args.starts, seed=args.seed)
         metrics["maxsw"] = {
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
         if isinstance(exc, (SolverFailure, BudgetExceeded, ProblemTooLarge)):
             return 4
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -287,8 +287,9 @@ def inequality_audit(
             mu, nu, p, Scheme.quadrature(scheme.resolution // 2), normalized=True
         ).value
         sw_err = abs(sw - half) + 1e-12
-        cert = max_sliced_certified(mu, nu, p, certified_tol)
-        w = wasserstein_exact(mu, nu, p).primal_value
+        plan = wasserstein_exact(mu, nu, p)
+        w = plan.primal_value
+        cert = max_sliced_certified(mu, nu, p, certified_tol, plan=plan)
 
         violations = []
         slack = tol + sw_err
@@ -378,12 +379,12 @@ def cd_lower_bound_scan(
     def run(k):
         rng = rng_stream(seed, 0xCD, k)
         mu, nu = random_pair(d, rng)
+        plan = wasserstein_exact(mu, nu, p)
         if certified:
-            res = max_sliced_certified(mu, nu, p, certified_tol)
+            res = max_sliced_certified(mu, nu, p, certified_tol, plan=plan)
         else:
             res = max_sliced(mu, nu, p, starts=8, seed=_child_seed(seed, 0xCD, k, 1))
-        w = wasserstein_exact(mu, nu, p).primal_value
-        return w, res.upper
+        return plan.primal_value, res.upper
 
     results = _parallel_map(run, range(instances), threads)
     best, best_k, skipped = -math.inf, -1, 0
@@ -518,13 +519,13 @@ def convergence_suite(
     d = target.dim
 
     def run(mu_n):
-        w = wasserstein_exact(mu_n, target, p).primal_value
+        plan = wasserstein_exact(mu_n, target, p)
         sw = sliced_wasserstein(mu_n, target, p, normalized=True).value
         if d <= 3:
-            res = max_sliced_certified(mu_n, target, p, maxsw_tol)
+            res = max_sliced_certified(mu_n, target, p, maxsw_tol, plan=plan)
         else:
             res = max_sliced(mu_n, target, p, starts=4, seed=0)
-        return w, sw, res.lower, res.upper
+        return plan.primal_value, sw, res.lower, res.upper
 
     rows = _parallel_map(run, list(schedule), threads)
     w = np.array([r[0] for r in rows])

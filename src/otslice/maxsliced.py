@@ -29,6 +29,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     InvalidOrder,
+    InvalidSpec,
     SolverFailure,
     UnsupportedDimension,
 )
@@ -40,7 +41,7 @@ from .ot1d import (
     wasserstein_1d,
     wasserstein_pp_batch,
 )
-from .ot_exact import wasserstein_exact
+from .ot_exact import TransportPlan, wasserstein_exact
 from .sphere import as_unit, project
 
 
@@ -232,21 +233,45 @@ def _lipschitz_constant(mu, nu, p) -> float:
     return min(plain, moment_p(mu_c, p) + moment_p(nu_c, p))
 
 
-class _CouplingBound:
-    """Upper bound on the projected distance from one fixed optimal coupling.
+def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
+    """Reject a plan that is not a coupling of (mu, nu) for order p."""
+    if plan.source_size != mu.n or plan.target_size != nu.n:
+        raise DimensionMismatch(
+            f"plan is {plan.source_size} x {plan.target_size}, measures are {mu.n} x {nu.n}"
+        )
+    if plan.order != p:
+        raise InvalidSpec(f"plan has order {plan.order}, expected {p}")
+    a, b = plan.source_marginal(), plan.target_marginal()
+    if (
+        np.any(plan.mass < 0.0)
+        or a.shape != mu.weights.shape
+        or b.shape != nu.weights.shape
+        or np.max(np.abs(a - mu.weights)) > 1e-9
+        or np.max(np.abs(b - nu.weights)) > 1e-9
+    ):
+        raise InvalidSpec("plan marginals do not match the measure weights")
 
-    Pushing an optimal d-dimensional plan through a projection yields a
-    feasible coupling of the projected measures, so
+
+class _CouplingBound:
+    """Upper bound on the projected distance from one fixed coupling.
+
+    Pushing a coupling of the d-dimensional problem through a projection
+    yields a feasible coupling of the projected measures, so
     h(v) = (sum gamma_k |v . z_k|^p)^(1/p) >= W_p(mu_v, nu_v) for every v,
-    and h is Lipschitz with constant equal to the full distance W_p(mu, nu).
+    and h is Lipschitz with constant equal to the coupling's own cost; for
+    an optimal plan that is the full distance W_p(mu, nu), the tightest
+    choice. ``plan`` defaults to a fresh exact solve.
     """
 
-    def __init__(self, mu, nu, p):
-        plan = wasserstein_exact(mu, nu, p)
+    def __init__(self, mu, nu, p, plan: TransportPlan | None = None):
+        if plan is None:
+            plan = wasserstein_exact(mu, nu, p)
+        else:
+            _check_plan(plan, mu, nu, p)
         self.z = mu.points[plan.i] - nu.points[plan.j]
         self.gamma = plan.mass
         self.p = p
-        self.lipschitz = plan.primal_value
+        self.lipschitz = plan.cost(mu, nu) ** (1.0 / p)
 
     def value_batch(self, dirs: np.ndarray) -> np.ndarray:
         return (np.abs(dirs @ self.z.T) ** self.p @ self.gamma) ** (1.0 / self.p)
@@ -353,6 +378,7 @@ def max_sliced_certified(
     p: float,
     tol: float,
     eval_budget: int = 2_000_000,
+    plan: TransportPlan | None = None,
 ) -> DirectionResult:
     """Certified bracket [lower, upper] containing the max-sliced distance.
 
@@ -362,9 +388,22 @@ def max_sliced_certified(
     Lipschitz estimate f(center) + L * step, the pushed-optimal-coupling
     estimate h(center) + W_p * step, and the center pairing's local-slope
     bound; step = chord of the patch radius), inherited downward from the
-    parent. Supports d in {1, 2, 3} (d = 1 is the trivial two-point
-    sphere). Raises :class:`BudgetExceeded` with the best bracket attached
-    if the evaluation cap is hit first.
+    parent. The lower bound starts from the d axis directions, evaluated
+    exactly in one batch, and only ever rises to an exactly evaluated patch
+    center. Supports d in {1, 2, 3} (d = 1 is the trivial two-point
+    sphere).
+
+    ``plan`` is an optimal plan of (mu, nu) for order p that the caller has
+    already solved (``wasserstein_exact``); it feeds the coupling bound in
+    place of a second solve. It is checked first: sizes that do not match
+    raise :class:`DimensionMismatch`, another order or marginals that differ
+    from the weights by more than 1e-9 raise :class:`InvalidSpec`. When it is
+    None the search solves the plan itself.
+
+    ``evaluations`` counts exact projected distances: the d axis directions
+    plus every patch center. No ascent runs, so it holds no ascent
+    evaluations. Raises :class:`BudgetExceeded` with the best
+    bracket attached if the evaluation cap is hit first.
     """
     _check_inputs(mu, nu, p)
     if tol <= 0:
@@ -380,12 +419,13 @@ def max_sliced_certified(
         )
 
     L = _lipschitz_constant(mu, nu, p)
-    bound = _CouplingBound(mu, nu, p)
+    bound = _CouplingBound(mu, nu, p, plan)
 
-    # warm start sharpens pruning from the first level
-    warm = max_sliced(mu, nu, p, starts=4, seed=0)
-    best_lower, best_v = warm.lower, warm.v_star
-    evals = warm.evaluations
+    axes = np.eye(d)
+    axis_values = _distance_batch(mu, nu, p, axes)
+    k = int(np.argmax(axis_values))
+    best_lower, best_v = float(axis_values[k]), axes[k]
+    evals = d
     gap = 0.995 * tol  # slightly conservative so the final width meets tol strictly
     pruned_ceiling = -math.inf  # sup over discarded patches, always <= best + gap
 

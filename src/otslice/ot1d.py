@@ -90,6 +90,8 @@ def measure1d_from_samples(values, weights=None) -> Measure1D:
     cum = _compensated_cumsum(merged)
     if abs(cum[-1] - 1.0) > _CUM_TOL:
         raise ArgumentOutOfRange(f"weights sum to {cum[-1]!r}, expected 1")
+    # a sum just above 1 must not leave an earlier prefix above the snapped end
+    np.minimum(cum, 1.0, out=cum)
     cum[-1] = 1.0
     return Measure1D(atoms=atoms, weights=merged, cum=cum)
 

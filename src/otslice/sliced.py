@@ -127,14 +127,3 @@ def sliced_wasserstein(
 
     raise InvalidSpec(f"unknown scheme kind {scheme.kind!r}")
 
-
-def quadrature_refinement_gap(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, scheme: Scheme, normalized: bool = False
-) -> float:
-    """|estimate(R) - estimate(R/2)|: a practical direction-discretization
-    error estimate for quadrature schemes (ordinary convergence regime)."""
-    if scheme.kind != "quadrature" or scheme.resolution < 2:
-        return 0.0
-    full = sliced_wasserstein(mu, nu, p, scheme, normalized)
-    half = sliced_wasserstein(mu, nu, p, Scheme.quadrature(scheme.resolution // 2), normalized)
-    return abs(full.value - half.value)

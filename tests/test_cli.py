@@ -82,6 +82,15 @@ class TestDist:
         entry = json.loads(out.read_text())["metrics"]["maxsw"]
         assert entry["mode"] == "certified"
         assert entry["upper"] - entry["lower"] <= 1e-6
+        # with W in --metric the search reuses its plan; the bracket is the same
+        code = main(
+            ["dist", str(a), str(b), "--metric", "all", "--certified", "--tol", "1e-6",
+             "--out", str(out)]
+        )
+        assert code == 0
+        reused = json.loads(out.read_text())["metrics"]["maxsw"]
+        del entry["time_s"], reused["time_s"]
+        assert reused == entry
 
     def test_dual_report(self, pair_files, tmp_path):
         a, b = pair_files
@@ -139,6 +148,14 @@ class TestDist:
         )
         assert code == 0
         assert json.loads(out.read_text())["p"] == 1.0
+
+    def test_config_file_bad_scheme_exit_2(self, pair_files, tmp_path, capsys):
+        a, b = pair_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": "grid:5"}))
+        code = main(["dist", str(a), str(b), "--metric", "sw", "--config", str(cfg)])
+        assert code == 2
+        assert "input error:" in capsys.readouterr().err
 
 
 class TestSuites:

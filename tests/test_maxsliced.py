@@ -5,6 +5,8 @@ import pytest
 
 from otslice import (
     BudgetExceeded,
+    DimensionMismatch,
+    InvalidSpec,
     Scheme,
     UnsupportedDimension,
     direction_ascent,
@@ -15,6 +17,7 @@ from otslice import (
     project,
     projected_cost_gradient,
     projected_distance,
+    quadrature_grid,
     sliced_wasserstein,
     to_measure1d,
     wasserstein_1d,
@@ -147,6 +150,23 @@ class TestCertified:
             # the grid can miss the peak by up to L * (half grid step)
             assert res.lower - L * (math.pi / 100_000) <= bf <= res.upper + 1e-9
 
+    def test_d3_brackets_contain_fibonacci_oracle(self, rng):
+        dirs = quadrature_grid(3, 100_000).directions  # Fibonacci spiral
+        for p in (1.0, 2.0):
+            for _ in range(4):
+                mu, nu = random_pair(rng, 3, max_atoms=10)
+                res = max_sliced_certified(mu, nu, p, tol=1e-5)
+                bf = float(_distance_batch(mu, nu, p, dirs).max())
+                L = moment_p(mu, p) + moment_p(nu, p)
+                # the grid misses v_star (or -v_star) by at most this chord
+                v = res.v_star
+                mesh = min(
+                    np.linalg.norm(dirs - v, axis=1).min(),
+                    np.linalg.norm(dirs + v, axis=1).min(),
+                )
+                assert res.lower - L * mesh <= bf <= res.upper + 1e-9
+                assert res.upper - res.lower <= 1e-5
+
     def test_lower_below_full_distance(self, rng):
         for d in (2, 3):
             for _ in range(5):
@@ -183,6 +203,41 @@ class TestCertified:
         assert partial is not None
         assert partial.lower <= partial.upper
         assert partial.mode == "certified"
+
+    def test_budget_below_first_level(self, rng):
+        for d in (2, 3):
+            mu, nu = random_pair(rng, d, max_atoms=10)
+            with pytest.raises(BudgetExceeded) as exc_info:
+                max_sliced_certified(mu, nu, 2.0, tol=1e-4, eval_budget=2)
+            partial = exc_info.value.result
+            assert partial.v_star.shape == (d,)
+            assert np.all(np.isfinite(partial.v_star))
+            assert partial.lower == projected_distance(mu, nu, 2.0, partial.v_star)
+            assert partial.lower <= partial.upper
+            assert partial.evaluations == d
+
+    def test_plan_reuse_matches_own_solve(self, rng):
+        for d in (2, 3):
+            for p in (1.0, 1.5, 2.0):
+                mu, nu = random_pair(rng, d, max_atoms=10)
+                a = max_sliced_certified(mu, nu, p, tol=1e-4, plan=wasserstein_exact(mu, nu, p))
+                b = max_sliced_certified(mu, nu, p, tol=1e-4)
+                assert np.array_equal(a.v_star, b.v_star)
+                assert (a.lower, a.upper, a.evaluations, a.mode) == (
+                    b.lower, b.upper, b.evaluations, b.mode
+                )
+
+    def test_mismatched_plan_rejected(self, rng):
+        mu = random_measure(rng, 2, max_atoms=6)
+        nu = make_discrete(rng.standard_normal((mu.n + 2, 2)), rng.dirichlet(np.ones(mu.n + 2)))
+        with pytest.raises(InvalidSpec):
+            max_sliced_certified(mu, nu, 2.0, tol=1e-4, plan=wasserstein_exact(mu, nu, 1.0))
+        with pytest.raises(DimensionMismatch):
+            max_sliced_certified(mu, nu, 2.0, tol=1e-4, plan=wasserstein_exact(nu, mu, 2.0))
+        # same sizes, other weights: only the marginals tell the pair apart
+        other = make_discrete(mu.points, rng.dirichlet(np.ones(mu.n)))
+        with pytest.raises(InvalidSpec):
+            max_sliced_certified(mu, other, 2.0, tol=1e-4, plan=wasserstein_exact(other, mu, 2.0))
 
     def test_distinct_measures_positive(self, rng):
         for _ in range(5):

@@ -175,6 +175,29 @@ class TestMonotoneCoupling:
         assert np.all(np.diff(c.i) >= 0) and np.all(np.diff(c.j) >= 0)
 
 
+class TestWeightSumAboveOne:
+    # the weights sum to 1 + 1e-10 + 1e-12, inside the accepted tolerance,
+    # and the last one is too small to carry the prefix sums back down to 1
+    def pair(self):
+        return line([0, 1, 2], [0.5 + 1e-10, 0.5, 1e-12]), line([0.0], [1.0])
+
+    def test_cum_nondecreasing(self):
+        mu, _ = self.pair()
+        assert np.all(np.diff(mu.cum) >= 0.0)
+        assert mu.cum[-1] == 1.0
+
+    def test_distance(self):
+        mu, nu = self.pair()
+        assert wasserstein_1d(mu, nu, 1.0) == pytest.approx(0.5)
+
+    def test_coupling_in_range(self):
+        mu, nu = self.pair()
+        c = monotone_coupling(mu, nu)
+        assert np.all((c.i >= 0) & (c.i < mu.n))
+        assert np.all((c.j >= 0) & (c.j < nu.n))
+        assert c.mass.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestBatchSweep:
     def test_matches_scalar_mixed_weights(self, rng):
         n, m, R = 9, 13, 40
