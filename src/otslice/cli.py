@@ -157,7 +157,6 @@ def cmd_dist(args) -> int:
         "command": "dist",
         "p": p,
         "dim": mu.dim,
-        "normalized_flag": bool(args.normalized),
         "seed": args.seed,
         "metrics": metrics,
     }
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file_b")
     sp.add_argument("--p", type=float, default=None, help="order (default 1)")
     sp.add_argument("--metric", choices=("w", "sw", "maxsw", "all"), default=None)
-    sp.add_argument("--normalized", action="store_true")
     sp.add_argument("--scheme", type=_parse_scheme, default=None, help="quad:RES or mc:N")
     sp.add_argument("--starts", type=int, default=None, help="ascent restarts (default 8)")
     sp.add_argument("--tol", type=float, default=None, help="certified bracket width (default 1e-6)")

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .measures import DiscreteMeasure, moment_p, rng_stream
 from .ot1d import (
+    _equal_uniform,
     _monotone_rows,
     _segments,
     to_measure1d,
@@ -78,7 +79,7 @@ def _monotone_pairs(mu, nu, v, with_indices=False):
     n, m = px.shape[0], py.shape[0]
     ox = np.argsort(px, kind="stable")
     oy = np.argsort(py, kind="stable")
-    if n == m and np.all(mu.weights == mu.weights[0]) and np.all(nu.weights == nu.weights[0]):
+    if _equal_uniform(mu.weights, nu.weights):
         mass = np.full(n, 1.0 / n)
         i, j = ox, oy
     else:
@@ -164,7 +165,6 @@ def direction_ascent(
     p: float,
     v0,
     max_iters: int = 100,
-    step_rule: str = "backtracking",
 ):
     """Local search from v0; returns (direction, exact projected distance).
 
@@ -172,8 +172,6 @@ def direction_ascent(
     is re-evaluated through the exact quantile path.
     """
     _check_inputs(mu, nu, p)
-    if step_rule != "backtracking":
-        raise InvalidOrder(f"unknown step rule {step_rule!r}")
     v, _, _ = _ascent(mu, nu, p, v0, max_iters)
     return v, projected_distance(mu, nu, p, v)
 
@@ -323,18 +321,10 @@ def _patch_bounds(mu, nu, p, centers, steps, lipschitz):
     """Exact center distances and certified cap bounds for each patch."""
     pa = (mu.points @ centers.T).T
     pb = (nu.points @ centers.T).T
-    R, n = pa.shape
-    m = pb.shape[1]
-
-    uniform = (
-        n == m
-        and np.all(mu.weights == mu.weights[0])
-        and np.all(nu.weights == nu.weights[0])
-    )
-    if uniform:
+    if _equal_uniform(mu.weights, nu.weights):
         i = np.argsort(pa, axis=1, kind="stable")
         j = np.argsort(pb, axis=1, kind="stable")
-        mass = np.full((R, n), 1.0 / n)
+        mass = np.full(pa.shape, 1.0 / pa.shape[1])
     else:
         mass, i, j = _monotone_rows(pa, pb, mu.weights, nu.weights)
     t = np.take_along_axis(pa, i, axis=1) - np.take_along_axis(pb, j, axis=1)

@@ -182,8 +182,13 @@ def monotone_coupling(mu: Measure1D, nu: Measure1D) -> MonotoneCoupling:
 
 
 # ---------------------------------------------------------------------------
-# Batched sweeps (used by the direction-sweep estimators)
+# Batched sweeps (direction-sweep estimators and the exact solver's start basis)
 # ---------------------------------------------------------------------------
+
+
+def _equal_uniform(wx: np.ndarray, wy: np.ndarray) -> bool:
+    """Equal-size uniform weights: the monotone coupling pairs sorted atoms one to one."""
+    return wx.shape[0] == wy.shape[0] and bool(np.all(wx == wx[0])) and bool(np.all(wy == wy[0]))
 
 
 def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
@@ -240,15 +245,7 @@ def wasserstein_pp_batch(
         raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    n = xs.shape[1]
-    m = ys.shape[1]
-
-    uniform = (
-        n == m
-        and np.all(wx == wx[0])
-        and np.all(wy == wy[0])
-    )
-    if uniform:
+    if _equal_uniform(wx, wy):
         # equal-size uniform measures: quantiles pair sorted samples directly
         dx = np.sort(xs, axis=1) - np.sort(ys, axis=1)
         return np.mean(np.abs(dx) ** p, axis=1)

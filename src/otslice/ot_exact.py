@@ -1,13 +1,14 @@
 """Exact W_p on R^d for discrete measures via a dense transportation solve.
 
 The core solver is a primal transportation simplex on the dense bipartite
-graph: north-west-corner start, spanning-tree duals, and a lowest-index
-lexicographic pivot rule so degenerate instances resolve deterministically
-(the solver begins with most-negative-reduced-cost entering steps for speed
-and falls back to the provably finite lexicographic rule if degeneracy drags
-on). Every solve ends with a complementary-slackness and marginal audit;
-anything suspicious raises :class:`SolverFailure` rather than returning a
-value.
+graph: a monotone-staircase start (the quantile merge of :mod:`otslice.ot1d`
+on the lexicographically sorted atoms), one tree walk per pivot for the duals
+and the entering cycle, and most-negative-reduced-cost entering steps that
+fall back to the provably finite lowest-index lexicographic rule if
+degeneracy drags on. Tolerances are relative to the largest cost, so results
+do not depend on the units of the points. Every solve ends with a
+complementary-slackness, marginal and strong-duality audit; anything
+suspicious raises :class:`SolverFailure` rather than returning a value.
 
 Equal-size uniform-weight instances route to a cubic-time assignment solve
 (`scipy.optimize.linear_sum_assignment`), which is what makes the n ~ 1000
@@ -19,7 +20,6 @@ when reporting, never inside the solver.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     SolverFailure,
 )
 from .measures import DiscreteMeasure
-from .ot1d import _compensated_cumsum
+from .ot1d import _equal_uniform, _monotone_rows
 
 # Dense cost-matrix size guard.
 MAX_DENSE_CELLS = 50_000_000
@@ -93,120 +93,85 @@ def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
         raise ProblemTooLarge(f"{mu.n} x {nu.n} cost matrix exceeds the dense guard")
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic solution with exactly n + m - 1 cells (zeros allowed)."""
-    n, m = a.shape[0], b.shape[0]
-    ca = _compensated_cumsum(a)
-    cb = _compensated_cumsum(b)
-    ca[-1] = 1.0
-    cb[-1] = 1.0
-    cells = []
-    i = j = 0
-    t = 0.0
-    while True:
-        nxt = min(ca[i], cb[j])
-        cells.append((i, j, max(0.0, nxt - t)))
-        t = nxt
-        if i == n - 1 and j == m - 1:
-            break
-        if ca[i] < cb[j]:
-            i += 1
-        elif cb[j] < ca[i]:
-            j += 1
-        elif i < n - 1:  # tie: advance the row, leaving a zero cell behind
-            i += 1
-        else:
-            j += 1
-    return cells
+def _staircase(a: np.ndarray, b: np.ndarray) -> dict:
+    """Start basis: the monotone staircase of the two weight vectors.
 
-
-def _adjacency(basic_cells, n, m):
-    """Node ids: rows 0..n-1, columns n..n+m-1."""
-    adj = [[] for _ in range(n + m)]
-    for i, j in basic_cells:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    return adj
-
-
-def _tree_duals(rows, adj, n, m):
-    """Solve u_i + v_j = c_ij on the spanning tree, anchored at u_0 = 0.
-
-    ``rows`` is the cost matrix as a list of row lists.
+    ``_monotone_rows`` on the atom ranks, as one row, steps through n + m
+    cells from (0, 0) to (n - 1, m - 1), zeros included; clipping at the end
+    repeats one cell, whose mass joins the cell it repeats. Cells of
+    zero-weight atoms are set to 0, dropping the rounding that the snapped
+    end of a cumulative sum can leave on them.
     """
-    pot = [None] * (n + m)
-    pot[0] = 0.0
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        pk = pot[k]
-        if k < n:
-            row = rows[k]
-            for node in adj[k]:
-                if pot[node] is None:
-                    pot[node] = row[node - n] - pk
-                    stack.append(node)
-        else:
-            for node in adj[k]:
-                if pot[node] is None:
-                    pot[node] = rows[node][k - n] - pk
-                    stack.append(node)
-    if any(x is None for x in pot):
-        raise SolverFailure("basis does not span the bipartite graph")
-    return np.array(pot[:n]), np.array(pot[n:])
+    n, m = a.shape[0], b.shape[0]
+    rows = _monotone_rows(np.arange(float(n))[None], np.arange(float(m))[None], a, b)
+    mass, i, j = (r[0] for r in rows)
+    rep = int(np.flatnonzero((np.diff(i) == 0) & (np.diff(j) == 0))[0]) + 1
+    mass[rep - 1] += mass[rep]
+    mass[(a[i] == 0.0) | (b[j] == 0.0)] = 0.0
+    keep = np.arange(mass.shape[0]) != rep
+    return dict(zip(zip(i[keep].tolist(), j[keep].tolist()), mass[keep].tolist()))
 
 
-def _cycle_path(adj, ei, ej, n):
-    """Tree path from row node ei to column node ej, as a list of cells."""
-    start, goal = ei, n + ej
-    parent = [-2] * len(adj)
-    parent[start] = -1
-    dq = deque([start])
-    while dq:
-        k = dq.popleft()
-        if k == goal:
-            break
-        for node in adj[k]:
-            if parent[node] == -2:
+def _tree_walk(adj, n, m):
+    """One walk of the basis tree from row 0: duals, parents and depths.
+
+    Node ids: rows 0..n-1, columns n..n+m-1; ``adj[k]`` maps each tree
+    neighbour of node k to the cost of the cell between them. The duals
+    solve u_i + v_j = c_ij on the tree, anchored at u_0 = 0.
+    """
+    pot = [0.0] * (n + m)
+    parent = [-1] * (n + m)
+    depth = [-1] * (n + m)
+    depth[0] = 0
+    order = [0]
+    for k in order:  # the list grows while it is read: every node once
+        for node, c in adj[k].items():
+            if depth[node] < 0:
+                pot[node] = c - pot[k]
                 parent[node] = k
-                dq.append(node)
-    if parent[goal] == -2:
-        raise SolverFailure("entering arc closes no cycle; basis corrupt")
-    path = []
-    node = goal
-    while node != start:
-        prev = parent[node]
-        cell = (prev, node - n) if node >= n else (node, prev - n)
-        path.append(cell)
-        node = prev
-    path.reverse()
-    return path
+                depth[node] = depth[k] + 1
+                order.append(node)
+    if len(order) < n + m:
+        raise SolverFailure("basis does not span the bipartite graph")
+    return np.array(pot), parent, depth
+
+
+def _cycle_path(parent, depth, ei, ej, n):
+    """Cells on the tree path from row ei to column ej, via the parent chains' meeting node."""
+    up, down = [ei], [n + ej]
+    while depth[up[-1]] > depth[down[-1]]:
+        up.append(parent[up[-1]])
+    while depth[down[-1]] > depth[up[-1]]:
+        down.append(parent[down[-1]])
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    nodes = up + down[-2::-1]
+    return [(x, y - n) if x < n else (y, x - n) for x, y in zip(nodes, nodes[1:])]
 
 
 def _transportation_simplex(C, a, b):
     """Optimal basic solution of min <C, X> s.t. marginals (a, b).
 
-    Returns (mass dict over cells, u, v). Deterministic: ties in entering
-    and leaving arcs break toward the lexicographically smallest cell.
+    Returns the basic cells as index arrays (i, j), their masses, the total
+    cost and the duals (u, v). Deterministic: ties in entering and leaving
+    arcs break toward the lexicographically smallest cell. Tolerances scale
+    with the largest cost, so the certificate does not depend on units.
     """
     n, m = C.shape
-    cells = _northwest_corner(a, b)
-    X = {}
-    basic = []
-    for i, j, mass in cells:
-        X[(i, j)] = mass
-        basic.append((i, j))
-    cscale = max(1.0, float(np.max(C)))
+    X = _staircase(a, b)
+    cscale = float(np.max(C)) or 1.0
     etol = 1e-11 * cscale
     dantzig_limit = 30 * (n + m) + 200
     total_limit = dantzig_limit + 300 * (n + m) + 2000
-    crows = C.tolist()
+    adj = [{} for _ in range(n + m)]  # tree neighbour -> cost of the cell between
+    for i, j in X:
+        adj[i][n + j] = adj[n + j][i] = float(C[i, j])
 
     it = 0
     while True:
-        adj = _adjacency(basic, n, m)
-        u, v = _tree_duals(crows, adj, n, m)
-        rc = C - u[:, None] - v[None, :]
+        pot, parent, depth = _tree_walk(adj, n, m)
+        rc = C - pot[:n, None] - pot[None, n:]
         if it < dantzig_limit:
             flat = int(np.argmin(rc))  # first minimum in row-major = lex smallest
             ei, ej = divmod(flat, m)
@@ -221,7 +186,7 @@ def _transportation_simplex(C, a, b):
         if it >= total_limit:
             raise SolverFailure(f"pivot limit {total_limit} exceeded on {n}x{m} instance")
 
-        path = _cycle_path(adj, ei, ej, n)
+        path = _cycle_path(parent, depth, ei, ej, n)
         minus = path[0::2]
         plus = path[1::2]
         theta = min(X[c] for c in minus)
@@ -232,30 +197,30 @@ def _transportation_simplex(C, a, b):
         for c in minus:
             X[c] = max(0.0, X[c] - theta)
         del X[leaving]
-        basic.remove(leaving)
-        basic.append((ei, ej))
+        adj[ei][n + ej] = adj[n + ej][ei] = float(C[ei, ej])
+        li, lj = leaving
+        del adj[li][n + lj], adj[n + lj][li]
         it += 1
 
     # certify before returning
     if float(np.min(rc)) < -1e-9 * cscale:
         raise SolverFailure("negative reduced cost at claimed optimum")
-    row_sum = np.zeros(n)
-    col_sum = np.zeros(m)
-    cost = 0.0
-    for (i, j), mass in X.items():
-        row_sum[i] += mass
-        col_sum[j] += mass
-        cost += mass * C[i, j]
+    ci, cj = np.array(list(X), dtype=np.intp).T
+    mass = np.fromiter(X.values(), dtype=float, count=len(X))
+    row_sum = np.bincount(ci, weights=mass, minlength=n)
+    col_sum = np.bincount(cj, weights=mass, minlength=m)
     if np.max(np.abs(row_sum - a)) > 1e-9 or np.max(np.abs(col_sum - b)) > 1e-9:
         raise SolverFailure("marginal mismatch at claimed optimum")
+    u, v = pot[:n], pot[n:]
+    cost = float(mass @ C[ci, cj])
     dual = float(a @ u + b @ v)
-    if abs(cost - dual) > 1e-7 * max(1.0, abs(cost)):
+    if abs(cost - dual) > 1e-7 * max(min(1.0, cscale), abs(cost)):
         raise SolverFailure("strong-duality check failed at claimed optimum")
-    return X, u, v
+    return ci, cj, mass, cost, u, v
 
 
-def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
-    D = cdist(mu.points, nu.points)
+def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    D = cdist(x, y)
     return D if p == 1 else D**p
 
 
@@ -266,59 +231,47 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
 def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Simplex solve on lexicographically sorted supports.
 
-    Sorting makes the north-west-corner start the monotone coupling, which
-    for 1D supports is already optimal (the solver still certifies this via
+    Sorting makes the staircase start the monotone coupling, which for 1D
+    supports is already optimal (the solver still certifies this via
     reduced costs); results are mapped back to the original atom order.
-    Returns (triples in original indices, u, v, total cost).
+    Returns (i, j, mass in original indices, u, v, total cost).
     """
     oa = _lex_order(mu.points)
     ob = _lex_order(nu.points)
-    C = cdist(mu.points[oa], nu.points[ob])
-    if p != 1:
-        C = C**p
-    X, u_s, v_s = _transportation_simplex(C, mu.weights[oa], nu.weights[ob])
-    cost = float(sum(mass * C[i, j] for (i, j), mass in X.items()))
-    triples = [(int(oa[i]), int(ob[j]), mass) for (i, j), mass in X.items() if mass > 0.0]
+    C = _cost_matrix(mu.points[oa], nu.points[ob], p)
+    i, j, mass, cost, u_s, v_s = _transportation_simplex(C, mu.weights[oa], nu.weights[ob])
     u = np.empty(mu.n)
     v = np.empty(nu.n)
     u[oa] = u_s
     v[ob] = v_s
-    return triples, u, v, cost
-
-
-def _plan_from_triples(triples, primal_value, p, n, m) -> TransportPlan:
-    triples = sorted(triples)
-    i = np.array([t[0] for t in triples], dtype=np.intp)
-    j = np.array([t[1] for t in triples], dtype=np.intp)
-    mass = np.array([t[2] for t in triples], dtype=float)
-    return TransportPlan(
-        i=i, j=j, mass=mass, primal_value=primal_value, order=p,
-        source_size=n, target_size=m,
-    )
-
-
-def _is_uniform(w: np.ndarray) -> bool:
-    return bool(np.all(w == w[0]))
+    return oa[i], ob[j], mass, u, v, cost
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportPlan:
     """Optimal transport plan for cost |x - y|^p between two discrete measures."""
     _check_pair(mu, nu, p)
     n, m = mu.n, nu.n
-    if n == m and _is_uniform(mu.weights) and _is_uniform(nu.weights):
-        C = _cost_matrix(mu, nu, p)
-        cols = linear_sum_assignment(C)[1]
-        cost = float(C[np.arange(n), cols].sum() / n)
-        triples = [(i, int(cols[i]), 1.0 / n) for i in range(n)]
-        return _plan_from_triples(triples, cost ** (1.0 / p), p, n, m)
-    triples, _, _, cost = _solve_simplex(mu, nu, p)
-    return _plan_from_triples(triples, cost ** (1.0 / p), p, n, m)
+    if _equal_uniform(mu.weights, nu.weights):
+        C = _cost_matrix(mu.points, nu.points, p)
+        i = np.arange(n)
+        j = linear_sum_assignment(C)[1]
+        mass = np.full(n, 1.0 / n)
+        cost = float(C[i, j].sum() / n)
+    else:
+        i, j, mass, _, _, cost = _solve_simplex(mu, nu, p)
+        keep = mass > 0.0
+        order = np.lexsort((j[keep], i[keep]))
+        i, j, mass = i[keep][order], j[keep][order], mass[keep][order]
+    return TransportPlan(
+        i=i, j=j, mass=mass, primal_value=cost ** (1.0 / p), order=p,
+        source_size=n, target_size=m,
+    )
 
 
 def dual_potentials_w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DualCertificate:
     """Optimal Kantorovich potentials for p = 1 from the simplex tree duals."""
     _check_pair(mu, nu, 1.0)
-    _, u, v, _ = _solve_simplex(mu, nu, 1.0)
+    _, _, _, u, v, _ = _solve_simplex(mu, nu, 1.0)
     f = u - u[0]
     g = v + u[0]
     dual_value = float(mu.weights @ f + nu.weights @ g)
@@ -328,6 +281,6 @@ def dual_potentials_w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DualCertific
 def duality_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """|primal - dual| for p = 1; small by strong LP duality, else the solver lied."""
     _check_pair(mu, nu, 1.0)
-    _, u, v, primal = _solve_simplex(mu, nu, 1.0)
+    _, _, _, u, v, primal = _solve_simplex(mu, nu, 1.0)
     dual = float(mu.weights @ u + nu.weights @ v)
     return abs(primal - dual)

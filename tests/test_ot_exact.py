@@ -89,12 +89,51 @@ class TestWassersteinExact:
             a = make_discrete(rng.standard_normal((n, 2)))
             b = make_discrete(rng.standard_normal((n, 2)))
             fast = wasserstein_exact(a, b, 2.0).primal_value
-            # break the uniformity detection by a weight no-op split
-            w = np.full(n, 1.0 / n)
-            w2 = w.copy()
-            ab = make_discrete(a.points, w2)
-            forced = lp_oracle(ab, b, 2.0)
-            assert fast == pytest.approx(forced, rel=1e-9)
+            # the same measure with atom 0 split into two half-weight copies
+            # has n + 1 atoms, so it bypasses the assignment path
+            w = np.append(a.weights, a.weights[0] / 2)
+            w[0] /= 2
+            split = make_discrete(np.vstack([a.points, a.points[:1]]), w)
+            forced = wasserstein_exact(split, b, 2.0).primal_value
+            assert forced == pytest.approx(fast, rel=1e-9)
+            assert fast == pytest.approx(lp_oracle(a, b, 2.0), rel=1e-9)
+
+    def test_scale_equivariance(self, rng):
+        # W_p(s mu, s nu) = s W_p(mu, nu): the solver's tolerances follow the
+        # largest cost, so tiny and huge units are solved to the same plan
+        gen = np.random.default_rng(1)
+        x = gen.standard_normal((6, 2))
+        y = gen.standard_normal((5, 2)) + 0.3
+        pairs = [(make_discrete(x, gen.dirichlet(np.ones(6))),
+                  make_discrete(y, gen.dirichlet(np.ones(5))))]
+        pairs += [random_pair(rng, d, max_atoms=12) for d in (2, 3) for _ in range(3)]
+        for mu, nu in pairs:
+            for p in (1.0, 2.0, 3.0):
+                base = wasserstein_exact(mu, nu, p).primal_value
+                for s in (1e-9, 1e-6, 1e8):
+                    scaled = wasserstein_exact(
+                        make_discrete(s * mu.points, mu.weights),
+                        make_discrete(s * nu.points, nu.weights),
+                        p,
+                    ).primal_value
+                    assert scaled == pytest.approx(s * base, rel=1e-9)
+
+    def test_zero_weight_last_atom(self):
+        # the lex-last atom of mu has zero weight and the running sum of the
+        # others rounds past 1 before the end is snapped to 1
+        mu = make_discrete(
+            [[1, -1], [0, 2], [1, -2], [-1, 0], [-1, 0]],
+            [0.0, 0.1120463891036656, 0.2143909459407163, 0.04458938837519729,
+             0.6289732765804209],
+        )
+        nu = make_discrete(
+            [[1, 1], [1, -0.0], [-0.0, -1], [2, 1], [1, 2]],
+            [0.07009139014971129, 0.20494951741009718, 0.27153963998234465,
+             0.004726131327437902, 0.4486933211304089],
+        )
+        plan = wasserstein_exact(mu, nu, 2.0)
+        assert plan.primal_value == pytest.approx(2.136777353620547, rel=1e-12)
+        assert np.all(plan.i != 0)
 
     def test_deterministic(self, rng):
         mu, nu = random_pair(rng, 2)
