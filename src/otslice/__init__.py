@@ -48,7 +48,6 @@ from .ot_exact import DualCertificate, TransportPlan, dual_potentials_w1, dualit
 from .sphere import (
     QuadratureGrid,
     as_unit,
-    half_norm_net,
     project,
     quadrature_grid,
     sample_uniform,
@@ -101,7 +100,6 @@ __all__ = [
     "errors",
     "experiments",
     "generate",
-    "half_norm_net",
     "load_measure",
     "make_discrete",
     "max_sliced",

@@ -287,11 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", type=_parse_scheme, default=None, help="quad:RES or mc:N")
     sp.add_argument("--starts", type=int, default=None, help="ascent restarts (default 8)")
     sp.add_argument("--tol", type=float, default=None, help="certified bracket width (default 1e-6)")
-    sp.add_argument("--certified", action="store_true", help="certified max-sliced bracket")
-    sp.add_argument("--dual", action="store_true", help="report p=1 dual value and gap")
+    sp.add_argument("--certified", action="store_true", default=None,
+                    help="certified max-sliced bracket")
+    sp.add_argument("--dual", action="store_true", default=None,
+                    help="report p=1 dual value and gap")
     sp.add_argument("--plan-out", default=None, help="dump the optimal plan as CSV")
     common(sp)
-    sp.set_defaults(fn=cmd_dist, defaults={"p": 1.0, "metric": "all", "starts": 8, "tol": 1e-6})
+    sp.set_defaults(
+        fn=cmd_dist,
+        defaults={"p": 1.0, "metric": "all", "starts": 8, "tol": 1e-6,
+                  "certified": False, "dual": False},
+    )
 
     sp = sub.add_parser("rates", help="two-sample empirical convergence rates")
     sp.add_argument("--d", type=int, default=None)

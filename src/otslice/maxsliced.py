@@ -7,15 +7,14 @@ L = M_p(mu) + M_p(nu) and attains its maximum. Two engines:
   monotone coupling supplies an exact subgradient wherever the projected
   sort order is locally stable). Every reported value is an exact 1D
   evaluation, hence a valid lower bound.
-* ``max_sliced_certified``: branch-and-bound over sphere patches (angle
-  intervals for d = 2, spherical triangles for d = 3). Each patch upper
-  bound combines the Lipschitz estimate f(center) + L * diam with a second
-  valid bound obtained by pushing one fixed optimal coupling of the full
-  d-dimensional problem through the projection: that bound collapses to 0
-  for equal measures, which is what lets brackets on near-identical inputs
-  close instead of tiling the whole sphere at mesh tol / L.
-
-The objective is even in v, so the search domain is half the sphere.
+* ``max_sliced_certified``: branch-and-bound over boxes on the cube faces
+  {v_k = 1}, pushed radially onto the sphere; the objective is even in v,
+  so these d faces cover every direction. Each patch upper bound combines
+  the Lipschitz estimate f(center) + L * step with a second valid bound
+  obtained by pushing one fixed optimal coupling of the full d-dimensional
+  problem through the projection: that bound collapses to 0 for equal
+  measures, which is what lets brackets on near-identical inputs close
+  instead of tiling the whole sphere at mesh tol / L.
 """
 
 from __future__ import annotations
@@ -333,33 +332,33 @@ def _patch_bounds(mu, nu, p, centers, steps, lipschitz):
     return _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz)
 
 
-def _triangle_geometry(verts: np.ndarray):
-    """Centers and geodesic radii for a stack of spherical triangles (P, 3, d)."""
-    centers = verts.sum(axis=1)
+def _box_geometry(lo: np.ndarray, hi: np.ndarray):
+    """Unit centers and chord steps of boxes [lo, hi] on the cube faces.
+
+    A box lies on a face {v_k = 1} (lo_k = hi_k = 1); its directions are its
+    points, normalized. Every point has norm >= r = |dist(0, [lo, hi])|,
+    where x -> x/|x| is (1/r)-Lipschitz, and the box is convex, so half its
+    diagonal over r bounds the chord from the center to any of them.
+    """
+    centers = 0.5 * (lo + hi)
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    cos = np.clip(np.einsum("pkd,pd->pk", verts, centers), -1.0, 1.0)
-    radii = np.max(np.arccos(cos), axis=1)
-    return centers, radii
+    least = np.linalg.norm(np.maximum(0.0, np.maximum(lo, -hi)), axis=1)
+    steps = np.minimum(2.0, 0.5 * np.linalg.norm(hi - lo, axis=1) / least)
+    return centers, steps
 
 
-def _split_triangles(verts: np.ndarray) -> np.ndarray:
-    """Subdivide each spherical triangle into 4 via normalized edge midpoints."""
-    v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
+def _halve(lo: np.ndarray, hi: np.ndarray):
+    """Cut each of P boxes across its longest side (the first on ties).
 
-    def mid(a, b):
-        m = a + b
-        return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-    m01, m12, m02 = mid(v0, v1), mid(v1, v2), mid(v0, v2)
-    children = np.concatenate(
-        [
-            np.stack([v0, m01, m02], axis=1),
-            np.stack([v1, m01, m12], axis=1),
-            np.stack([v2, m02, m12], axis=1),
-            np.stack([m01, m12, m02], axis=1),
-        ]
-    )
-    return children
+    The halves of box i are rows i and i + P.
+    """
+    rows = np.arange(lo.shape[0])
+    k = np.argmax(hi - lo, axis=1)
+    mid = 0.5 * (lo[rows, k] + hi[rows, k])
+    upper_lo, lower_hi = lo.copy(), hi.copy()
+    upper_lo[rows, k] = mid
+    lower_hi[rows, k] = mid
+    return np.vstack([lo, upper_lo]), np.vstack([lower_hi, hi])
 
 
 def max_sliced_certified(
@@ -372,16 +371,17 @@ def max_sliced_certified(
 ) -> DirectionResult:
     """Certified bracket [lower, upper] containing the max-sliced distance.
 
-    Level-synchronous branch-and-bound: all surviving patches split at once
-    and their centers are evaluated in one vectorized sweep. Each patch
-    upper bound is the minimum of three valid cap bounds (the global
-    Lipschitz estimate f(center) + L * step, the pushed-optimal-coupling
-    estimate h(center) + W_p * step, and the center pairing's local-slope
-    bound; step = chord of the patch radius), inherited downward from the
-    parent. The lower bound starts from the d axis directions, evaluated
-    exactly in one batch, and only ever rises to an exactly evaluated patch
-    center. Supports d in {1, 2, 3} (d = 1 is the trivial two-point
-    sphere).
+    Level-synchronous branch-and-bound over boxes on the cube faces
+    {v_k = 1}. The first level is the d whole faces, centred on the axis
+    directions; each later level halves every surviving box across its
+    longest side twice and evaluates all centers in one vectorized sweep.
+    Each patch upper bound is the minimum of three valid cap bounds (the
+    global Lipschitz estimate f(center) + L * step, the pushed-optimal-
+    coupling estimate h(center) + W_p * step, and the center pairing's
+    local-slope bound; step bounds the chord from the center to the box),
+    inherited downward from the parent. The lower bound is the best exactly
+    evaluated center. Supports d in {1, 2, 3} (d = 1 is the trivial
+    two-point sphere).
 
     ``plan`` is an optimal plan of (mu, nu) for order p that the caller has
     already solved (``wasserstein_exact``); it feeds the coupling bound in
@@ -390,10 +390,10 @@ def max_sliced_certified(
     from the weights by more than 1e-9 raise :class:`InvalidSpec`. When it is
     None the search solves the plan itself.
 
-    ``evaluations`` counts exact projected distances: the d axis directions
-    plus every patch center. No ascent runs, so it holds no ascent
-    evaluations. Raises :class:`BudgetExceeded` with the best
-    bracket attached if the evaluation cap is hit first.
+    ``evaluations`` counts exact projected distances, one per patch center;
+    no ascent runs. The first level is always evaluated; before each split,
+    if the next level would take ``evaluations`` past ``eval_budget``,
+    :class:`BudgetExceeded` is raised with the best bracket attached.
     """
     _check_inputs(mu, nu, p)
     if tol <= 0:
@@ -411,54 +411,16 @@ def max_sliced_certified(
     L = _lipschitz_constant(mu, nu, p)
     bound = _CouplingBound(mu, nu, p, plan)
 
-    axes = np.eye(d)
-    axis_values = _distance_batch(mu, nu, p, axes)
-    k = int(np.argmax(axis_values))
-    best_lower, best_v = float(axis_values[k]), axes[k]
-    evals = d
+    # the first level: the d whole faces {v_k = 1} of the cube [-1, 1]^d
+    lo, hi = 2.0 * np.eye(d) - 1.0, np.ones((d, d))
+    inherited = np.full(d, np.inf)
+    best_lower, best_v = -math.inf, None
+    evals = 0
     gap = 0.995 * tol  # slightly conservative so the final width meets tol strictly
     pruned_ceiling = -math.inf  # sup over discarded patches, always <= best + gap
 
-    # the objective is even in v, so half the sphere suffices
-    if d == 2:
-        lo = np.array([0.0, 0.25, 0.5, 0.75]) * math.pi
-        hi = lo + 0.25 * math.pi
-        patches = (lo, hi)
-        inherited = np.full(4, np.inf)
-    else:
-        e = np.eye(3)
-        patches = np.stack(
-            [
-                np.stack([sx * e[0], sy * e[1], e[2]])
-                for sx in (1.0, -1.0)
-                for sy in (1.0, -1.0)
-            ]
-        )
-        inherited = np.full(4, np.inf)
-
     for _ in range(200):
-        if d == 2:
-            lo, hi = patches
-            theta = 0.5 * (lo + hi)
-            centers = np.column_stack([np.cos(theta), np.sin(theta)])
-            radii = (hi - lo) / 2.0
-        else:
-            centers, radii = _triangle_geometry(patches)
-
-        if evals + centers.shape[0] > eval_budget:
-            partial = DirectionResult(
-                v_star=best_v,
-                lower=projected_distance(mu, nu, p, best_v),
-                upper=max(float(np.max(inherited)), pruned_ceiling, best_lower),
-                evaluations=evals,
-                mode="certified",
-            )
-            raise BudgetExceeded(
-                f"evaluation budget {eval_budget} hit before reaching tol {tol:.3e}",
-                result=partial,
-            )
-
-        step = 2.0 * np.sin(np.minimum(radii, math.pi) / 2.0)
+        centers, step = _box_geometry(lo, hi)
         fc, local_ub = _patch_bounds(mu, nu, p, centers, step, L)
         hc = bound.value_batch(centers)
         evals += centers.shape[0]
@@ -469,33 +431,31 @@ def max_sliced_certified(
 
         uppers = np.minimum(inherited, np.minimum(local_ub, hc + bound.lipschitz * step))
 
-        active_max = float(np.max(uppers))
-        if max(active_max, pruned_ceiling) <= best_lower + gap:
-            pruned_ceiling = max(pruned_ceiling, active_max)
-            break
-
         keep = uppers > best_lower + gap
         if np.any(~keep):
             pruned_ceiling = max(pruned_ceiling, float(np.max(uppers[~keep])))
         if not np.any(keep):
             break
 
-        if d == 2:
-            klo, khi, kup = lo[keep], hi[keep], uppers[keep]
-            mid = 0.5 * (klo + khi)
-            patches = (
-                np.concatenate([klo, mid]),
-                np.concatenate([mid, khi]),
+        if evals + 4 * int(np.count_nonzero(keep)) > eval_budget:
+            partial = DirectionResult(
+                v_star=best_v,
+                lower=projected_distance(mu, nu, p, best_v),
+                upper=max(float(np.max(uppers[keep])), pruned_ceiling, best_lower),
+                evaluations=evals,
+                mode="certified",
             )
-            inherited = np.concatenate([kup, kup])
-        else:
-            patches = _split_triangles(patches[keep])
-            inherited = np.tile(uppers[keep], 4)
+            raise BudgetExceeded(
+                f"evaluation budget {eval_budget} hit before reaching tol {tol:.3e}",
+                result=partial,
+            )
+        lo, hi = _halve(*_halve(lo[keep], hi[keep]))
+        inherited = np.tile(uppers[keep], 4)
     else:
         raise SolverFailure("certified search failed to converge in 200 levels")
 
     lower = projected_distance(mu, nu, p, best_v)
-    upper = max(pruned_ceiling, lower) if pruned_ceiling > -math.inf else lower
+    upper = max(pruned_ceiling, lower)
     return DirectionResult(
         v_star=best_v,
         lower=lower,

@@ -7,10 +7,10 @@ over the merged set of cumulative-weight breakpoints; no sampling is
 involved. The same breakpoint sweep yields the monotone (north-west-corner)
 coupling, so plan cost and distance agree to rounding.
 
-Two paths compute the sweep. The single-measure path (:func:`wasserstein_1d`,
-:func:`monotone_coupling`) merges Kahan-summed cumulative weights with a
-binary search per breakpoint. The batched path (:func:`wasserstein_pp_batch`)
-sweeps R rows at once from plain ``cumsum`` weights, so it agrees with the
+Two paths compute the sweep from plain ``cumsum`` weights. The
+single-measure path (:func:`wasserstein_1d`, :func:`monotone_coupling`)
+merges them with a binary search per breakpoint; the batched path
+(:func:`wasserstein_pp_batch`) sweeps R rows at once, and agrees with the
 single-measure path to rounding, not bit for bit.
 
 Quantile convention: the strict-exceedance inverse
@@ -32,20 +32,6 @@ from .measures import DiscreteMeasure
 # Cumulative weights must land within this distance of 1 before the final
 # prefix sum is snapped to exactly 1.
 _CUM_TOL = 1e-9
-
-
-def _compensated_cumsum(w: np.ndarray) -> np.ndarray:
-    """Kahan prefix sums; keeps breakpoint merges exact on large supports."""
-    out = np.empty_like(w)
-    total = 0.0
-    comp = 0.0
-    for k, x in enumerate(w.tolist()):
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[k] = total
-    return out
 
 
 @dataclass(frozen=True)
@@ -87,7 +73,7 @@ def measure1d_from_samples(values, weights=None) -> Measure1D:
     np.add.at(merged, inverse, w)
     keep = merged > 0.0
     atoms, merged = atoms[keep], merged[keep]
-    cum = _compensated_cumsum(merged)
+    cum = np.cumsum(merged)
     if abs(cum[-1] - 1.0) > _CUM_TOL:
         raise ArgumentOutOfRange(f"weights sum to {cum[-1]!r}, expected 1")
     # a sum just above 1 must not leave an earlier prefix above the snapped end

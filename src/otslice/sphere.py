@@ -1,4 +1,4 @@
-"""Unit-sphere utilities: sampling, quadrature grids, projections, covering nets.
+"""Unit-sphere utilities: sampling, quadrature grids and projections.
 
 Surface integrals are kept unnormalized (grid weights sum to the total
 surface measure A_d = 2 pi^{d/2} / Gamma(d/2)); callers divide by A_d when
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, SolverFailure, UnsupportedDimension
+from .errors import DimensionMismatch, InvalidDimension, UnsupportedDimension
 from .measures import DiscreteMeasure, rng_stream
 from .ot1d import Measure1D, measure1d_from_samples
 
@@ -115,82 +115,3 @@ def project(mu: DiscreteMeasure, v) -> Measure1D:
     if v.shape[0] != mu.dim:
         raise DimensionMismatch(f"direction has dim {v.shape[0]}, measure has dim {mu.dim}")
     return measure1d_from_samples(mu.points @ v, mu.weights)
-
-
-# ---------------------------------------------------------------------------
-# Half-norm covering nets: finite direction sets with
-# max_i |v_i . x| >= |x| / 2 for every x.
-# ---------------------------------------------------------------------------
-
-
-def _spherical_to_cartesian(angles: np.ndarray) -> np.ndarray:
-    """Rows of angles (theta_1..theta_{d-2}, phi) to points on S^{d-1}."""
-    k = angles.shape[1]
-    d = k + 1
-    out = np.empty((angles.shape[0], d))
-    sin_prod = np.ones(angles.shape[0])
-    for c in range(k):
-        out[:, c] = sin_prod * np.cos(angles[:, c])
-        sin_prod = sin_prod * np.sin(angles[:, c])
-    out[:, d - 1] = sin_prod
-    return out
-
-
-def _canonical_antipodal(dirs: np.ndarray) -> np.ndarray:
-    """Flip each direction so its first nonzero coordinate is positive, dedupe."""
-    dirs = np.array(dirs, dtype=float)
-    for row in dirs:
-        for c in row:
-            if abs(c) > 1e-9:
-                if c < 0:
-                    row *= -1.0
-                break
-    rounded = np.round(dirs, 9)
-    _, keep = np.unique(rounded, axis=0, return_index=True)
-    out = dirs[np.sort(keep)]
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
-    return out / norms
-
-
-def _angular_grid(d: int, mesh: float) -> np.ndarray:
-    """Product grid in spherical coordinates with step <= mesh per coordinate."""
-    n_az = max(3, math.ceil(2.0 * math.pi / mesh))
-    az = 2.0 * math.pi * np.arange(n_az) / n_az
-    if d == 2:
-        angles = az.reshape(-1, 1)
-    else:
-        n_polar = max(2, math.ceil(math.pi / mesh)) + 1
-        polar = np.linspace(0.0, math.pi, n_polar)
-        axes = [polar] * (d - 2) + [az]
-        mesh_grids = np.meshgrid(*axes, indexing="ij")
-        angles = np.column_stack([g.ravel() for g in mesh_grids])
-    return _canonical_antipodal(_spherical_to_cartesian(angles))
-
-
-def _covering_floor(dirs: np.ndarray, d: int, samples: int = 20000) -> float:
-    """Smallest observed max_i |v_i . x| over a fixed randomized probe set."""
-    probes = sample_uniform(d, samples, seed=0x5EED)
-    probes = np.vstack([probes, np.eye(d)])
-    floor = np.inf
-    step = max(1, int(2e7 // max(1, dirs.shape[0])))
-    for lo in range(0, probes.shape[0], step):
-        dots = np.abs(probes[lo : lo + step] @ dirs.T)
-        floor = min(floor, float(dots.max(axis=1).min()))
-    return floor
-
-
-def half_norm_net(d: int) -> np.ndarray:
-    """Directions v_1..v_I with |x|/2 <= max_i |v_i . x| <= |x| for all x.
-
-    Built from an angular grid of mesh <= pi/3 per great-circle coordinate
-    (antipodal duplicates removed); the covering property is certified on a
-    fixed randomized probe set with a safety margin, refining the mesh if
-    the conservative grid falls short in higher dimensions.
-    """
-    if d < 2 or d > 6:
-        raise UnsupportedDimension(f"covering nets are built for d in 2..6, got {d}")
-    for mesh in (math.pi / 3, math.pi / 4, math.pi / 6, math.pi / 8):
-        dirs = _angular_grid(d, mesh)
-        if _covering_floor(dirs, d) >= 0.5 + 0.02:
-            return dirs
-    raise SolverFailure(f"could not certify a covering net for d={d}")

@@ -149,6 +149,18 @@ class TestDist:
         assert code == 0
         assert json.loads(out.read_text())["p"] == 1.0
 
+    def test_config_file_turns_on_certified_and_dual(self, pair_files, tmp_path):
+        a, b = pair_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certified": True, "dual": True}))
+        out = tmp_path / "r.json"
+        code = main(["dist", str(a), str(b), "--metric", "all", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["maxsw"]["mode"] == "certified"
+        assert metrics["w"]["dual_value"] == pytest.approx(1.0, abs=1e-12)
+
     def test_config_file_bad_scheme_exit_2(self, pair_files, tmp_path, capsys):
         a, b = pair_files
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from otslice import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from otslice.maxsliced import _distance_batch, _patch_bounds
+from otslice.maxsliced import _box_geometry, _distance_batch, _halve, _patch_bounds
 from conftest import random_measure, random_pair
 
 
@@ -281,6 +282,69 @@ class TestPatchBounds:
                     f, ub = _patch_bounds(mu, nu, p, centers, steps, 10.0)
                     assert np.array_equal(f, _distance_batch(mu, nu, p, centers))
                     assert np.all(ub >= f)
+
+
+def random_face_boxes(rng, d, count):
+    """Boxes [lo, hi] inside the faces {v_k = 1} of the cube, k cycling over 0..d-1."""
+    face = np.arange(count) % d
+    ends = np.sort(rng.uniform(-1.0, 1.0, (count, d, 2)), axis=2)
+    lo, hi = ends[..., 0], ends[..., 1]
+    lo[np.arange(count), face] = 1.0
+    hi[np.arange(count), face] = 1.0
+    return face, lo, hi
+
+
+class TestBoxGeometry:
+    def test_chord_covers_box_directions(self, rng):
+        for d in (2, 3):
+            _, lo, hi = random_face_boxes(rng, d, 60)
+            # whole faces and boxes off the axis, where the least norm exceeds 1
+            lo[:d], hi[:d] = 2.0 * np.eye(d) - 1.0, np.ones((d, d))
+            centers, steps = _box_geometry(lo, hi)
+            assert np.allclose(np.linalg.norm(centers, axis=1), 1.0)
+            corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+            for c, s, a, b in zip(centers, steps, lo, hi):
+                pts = np.vstack([a + corners * (b - a), a + rng.uniform(size=(200, d)) * (b - a)])
+                dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+                assert np.max(np.linalg.norm(dirs - c, axis=1)) <= s + 1e-12
+
+    def test_two_halvings_tile_parent(self, rng):
+        for d in (2, 3):
+            face, lo, hi = random_face_boxes(rng, d, 40)
+            clo, chi = _halve(*_halve(lo, hi))
+            assert clo.shape == (4 * 40, d)
+            plo, phi = np.tile(lo, (4, 1)), np.tile(hi, (4, 1))
+            assert np.all(clo >= plo) and np.all(chi <= phi) and np.all(clo <= chi)
+            assert np.all(chi - clo <= phi - plo)
+            rows = np.tile(np.arange(40), 4)
+            assert np.all(clo[rows, np.tile(face, 4)] == 1.0)
+
+            def volume(a, b, f):
+                widths = b - a
+                widths[np.arange(len(f)), f] = 1.0
+                return np.prod(widths, axis=1)
+
+            child = volume(clo, chi, np.tile(face, 4)).reshape(4, 40).sum(axis=0)
+            assert np.allclose(child, volume(lo, hi, face), rtol=1e-12, atol=0.0)
+
+    def test_square_face_splits_into_quadrants(self):
+        lo, hi = _halve(*_halve(np.array([[-1.0, -1.0, 1.0]]), np.ones((1, 3))))
+        quads = {(tuple(a[:2]), tuple(b[:2])) for a, b in zip(lo, hi)}
+        assert quads == {
+            ((-1.0, -1.0), (0.0, 0.0)), ((0.0, -1.0), (1.0, 0.0)),
+            ((-1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (1.0, 1.0)),
+        }
+
+    def test_first_level_covers_sphere_up_to_sign(self, rng):
+        for d in (2, 3):
+            lo, hi = 2.0 * np.eye(d) - 1.0, np.ones((d, d))
+            v = rng.standard_normal((5000, d))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            k = np.argmax(np.abs(v), axis=1)
+            x = v / v[np.arange(len(v)), k][:, None]  # the signed v on face k
+            assert np.all((lo[k] <= x) & (x <= hi[k]))
+            assert np.allclose(x / np.linalg.norm(x, axis=1, keepdims=True),
+                               v * np.sign(v[np.arange(len(v)), k])[:, None])
 
 
 class TestSandwich:

@@ -7,7 +7,6 @@ from otslice import (
     DimensionMismatch,
     InvalidDimension,
     UnsupportedDimension,
-    half_norm_net,
     make_discrete,
     moment_p,
     project,
@@ -140,39 +139,3 @@ class TestProjectionLipschitz:
                 wv = wasserstein_1d(project(mu, v), project(nu, v), p)
                 L = moment_p(mu, p) + moment_p(nu, p)
                 assert abs(wu - wv) <= np.linalg.norm(u - v) * L + 1e-9
-
-
-class TestHalfNormNet:
-    def test_d2_is_three_directions(self):
-        net = half_norm_net(2)
-        assert net.shape == (3, 2)
-        angles = sorted(math.atan2(v[1], v[0]) % math.pi for v in net)
-        assert angles == pytest.approx([0.0, math.pi / 3, 2 * math.pi / 3], abs=1e-12)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_covering_property(self, d):
-        net = half_norm_net(d)
-        rng = np.random.default_rng(1234 + d)
-        xs = rng.standard_normal((10_000, d))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        best = np.abs(xs @ net.T).max(axis=1)
-        assert best.min() >= 0.5
-        # Cauchy-Schwarz upper side
-        assert best.max() <= 1.0 + 1e-12
-
-    def test_axis_covered(self):
-        for d in (2, 3, 4):
-            net = half_norm_net(d)
-            e1 = np.zeros(d)
-            e1[0] = 1.0
-            assert np.abs(net @ e1).max() >= 0.5
-
-    def test_unit_norms(self):
-        net = half_norm_net(3)
-        assert np.max(np.abs(np.linalg.norm(net, axis=1) - 1.0)) <= 1e-12
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedDimension):
-            half_norm_net(7)
-        with pytest.raises(UnsupportedDimension):
-            half_norm_net(1)
