@@ -26,7 +26,7 @@ class DimensionMismatch(OTSliceError):
 
 
 class InvalidOrder(OTSliceError):
-    """The order p of a distance must satisfy p >= 1."""
+    """The order p of a distance must be finite and satisfy p >= 1."""
 
 
 class InvalidSpec(OTSliceError):

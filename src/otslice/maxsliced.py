@@ -32,7 +32,7 @@ from .errors import (
     SolverFailure,
     UnsupportedDimension,
 )
-from .measures import DiscreteMeasure, moment_p, rng_stream
+from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
 from .ot1d import (
     _equal_uniform,
     _monotone_rows,
@@ -59,13 +59,6 @@ class DirectionResult:
     upper: float
     evaluations: int
     mode: str
-
-
-def _check_inputs(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
-    if p < 1:
-        raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
 
 
 def _monotone_pairs(mu, nu, v, with_indices=False):
@@ -170,7 +163,7 @@ def direction_ascent(
     The objective is nondecreasing over accepted steps; the returned value
     is re-evaluated through the exact quantile path.
     """
-    _check_inputs(mu, nu, p)
+    _check_pair(mu, nu, p)
     v, _, _ = _ascent(mu, nu, p, v0, max_iters)
     return v, projected_distance(mu, nu, p, v)
 
@@ -183,7 +176,7 @@ def max_sliced(
     seed: int = 0,
 ) -> DirectionResult:
     """Best of ``starts`` ascent runs plus the 2d signed axis directions."""
-    _check_inputs(mu, nu, p)
+    _check_pair(mu, nu, p)
     if starts < 1:
         raise InvalidOrder(f"starts must be >= 1, got {starts}")
     d = mu.dim
@@ -395,8 +388,8 @@ def max_sliced_certified(
     if the next level would take ``evaluations`` past ``eval_budget``,
     :class:`BudgetExceeded` is raised with the best bracket attached.
     """
-    _check_inputs(mu, nu, p)
-    if tol <= 0:
+    _check_pair(mu, nu, p)
+    if not tol > 0:  # NaN fails too
         raise InvalidOrder(f"tol must be positive, got {tol}")
     d = mu.dim
     if d == 1:

@@ -123,10 +123,21 @@ def make_discrete(points, weights=None) -> DiscreteMeasure:
     return DiscreteMeasure(points=pts.copy(), weights=w, dim=pts.shape[1])
 
 
+def _check_order(p: float) -> None:
+    """Raise :class:`InvalidOrder` unless p is finite and p >= 1 (NaN and inf fail)."""
+    if not (math.isfinite(p) and p >= 1):
+        raise InvalidOrder(f"order must be finite and satisfy p >= 1, got {p}")
+
+
+def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
+    _check_order(p)
+
+
 def moment_p(mu: DiscreteMeasure, p: float) -> float:
     """p-th moment (sum_i w_i |x_i|^p)^(1/p) with the Euclidean norm."""
-    if p < 1:
-        raise InvalidOrder(f"moment order must satisfy p >= 1, got {p}")
+    _check_order(p)
     norms = np.linalg.norm(mu.points, axis=1)
     total = float(np.sum(mu.weights * norms**p))
     return total ** (1.0 / p)

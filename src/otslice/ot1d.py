@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, DimensionMismatch, InvalidOrder
-from .measures import DiscreteMeasure
+from .errors import ArgumentOutOfRange, DimensionMismatch
+from .measures import DiscreteMeasure, _check_order
 
 # Cumulative weights must land within this distance of 1 before the final
 # prefix sum is snapped to exactly 1.
@@ -120,8 +120,7 @@ def _segments(cx: np.ndarray, cy: np.ndarray):
 
 def wasserstein_1d(mu: Measure1D, nu: Measure1D, p: float) -> float:
     """Exact order-p distance (integral of |quantile gap|^p, then 1/p root)."""
-    if p < 1:
-        raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
+    _check_order(p)
     mass, i, j = _segments(mu.cum, nu.cum)
     gaps = np.abs(mu.atoms[i] - nu.atoms[j])
     return float(np.sum(mass * gaps**p)) ** (1.0 / p)
@@ -177,24 +176,34 @@ def _equal_uniform(wx: np.ndarray, wy: np.ndarray) -> bool:
     return wx.shape[0] == wy.shape[0] and bool(np.all(wx == wx[0])) and bool(np.all(wy == wy[0]))
 
 
-def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+def _sorted_rows(a: np.ndarray):
+    """Stable row argsort of ``a`` and its sorted rows; only rows with a tie need a stable sort."""
+    order = np.argsort(a, axis=1)
+    s = np.take_along_axis(a, order, axis=1)
+    tied = np.flatnonzero(np.any(s[:, 1:] == s[:, :-1], axis=1))
+    if tied.size:
+        order[tied] = np.argsort(a[tied], axis=1, kind="stable")
+        s[tied] = np.take_along_axis(a[tied], order[tied], axis=1)
+    return order, s
+
+
+def _merge_sorted(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
     """Monotone merge of each row of ``xs`` (R, n) with the same row of ``ys`` (R, m).
 
-    Returns ``(mass, i, j)``, each of shape (R, n + m): on segment k of row r
-    the quantiles are ``xs[r, i[r, k]]`` and ``ys[r, j[r, k]]`` (original
-    atom indices). Each row's cumulative weights come from one stable
-    argsort and a plain ``cumsum``, snapped to end at 1. One stable argsort
-    of the concatenated ``[cx, cy]`` then lists the breakpoints in order.
-    The count of x breakpoints before position k is the sorted x atom in
-    force on segment k, and the y breakpoints give j likewise; on every
-    segment of positive mass these counts equal the number of breakpoints at
-    or below the segment's left edge, which is what a right-bisect finds.
-    Per row this costs O((n + m) log(n + m)) time and O(n + m) memory.
+    Returns ``(mass, si, sj, ox, oy, sx, sy)``, ``ox, sx = _sorted_rows(xs)``: on
+    segment k of row r the quantiles are ``sx[r, si[r, k]]`` and ``sy[r, sj[r, k]]``.
+    The cumulative weights (``cumsum`` in sorted order, snapped to end at 1) of
+    both rows are listed in order by one stable argsort of ``[cx, cy]``. The
+    count of x breakpoints before position k is the sorted x atom in force on
+    segment k, and the y breakpoints give j likewise; on every segment of
+    positive mass these counts equal the number of breakpoints at or below its
+    left edge, which is what a right-bisect finds. Per row this costs
+    O((n + m) log(n + m)) time and O(n + m) memory.
     """
     n = xs.shape[1]
     m = ys.shape[1]
-    ox = np.argsort(xs, axis=1, kind="stable")
-    oy = np.argsort(ys, axis=1, kind="stable")
+    ox, sx = _sorted_rows(xs)
+    oy, sy = _sorted_rows(ys)
     cx = np.cumsum(wx[ox], axis=1)
     cy = np.cumsum(wy[oy], axis=1)
     cx[:, -1] = 1.0
@@ -208,6 +217,12 @@ def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarra
     sj = np.arange(n + m) - si
     np.minimum(si, n - 1, out=si)
     np.minimum(sj, m - 1, out=sj)
+    return mass, si, sj, ox, oy, sx, sy
+
+
+def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+    """``(mass, i, j)`` of :func:`_merge_sorted`, with i and j original atom indices."""
+    mass, si, sj, ox, oy, _, _ = _merge_sorted(xs, ys, wx, wy)
     return mass, np.take_along_axis(ox, si, axis=1), np.take_along_axis(oy, sj, axis=1)
 
 
@@ -225,10 +240,9 @@ def wasserstein_pp_batch(
     :func:`wasserstein_1d`; duplicate atoms need no merging because merging
     does not change the quantile function. Equal-size uniform rows pair
     their sorted atoms directly, O(n log n) per row; other rows go through
-    :func:`_monotone_rows`, O((n + m) log(n + m)) per row.
+    :func:`_merge_sorted`, O((n + m) log(n + m)) per row.
     """
-    if p < 1:
-        raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
+    _check_order(p)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if _equal_uniform(wx, wy):
@@ -236,6 +250,6 @@ def wasserstein_pp_batch(
         dx = np.sort(xs, axis=1) - np.sort(ys, axis=1)
         return np.mean(np.abs(dx) ** p, axis=1)
 
-    mass, i, j = _monotone_rows(xs, ys, wx, wy)
-    gaps = np.abs(np.take_along_axis(xs, i, axis=1) - np.take_along_axis(ys, j, axis=1))
+    mass, si, sj, _, _, sx, sy = _merge_sorted(xs, ys, wx, wy)
+    gaps = np.abs(np.take_along_axis(sx, si, axis=1) - np.take_along_axis(sy, sj, axis=1))
     return np.sum(mass * gaps**p, axis=1)

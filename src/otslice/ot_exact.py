@@ -2,13 +2,15 @@
 
 The core solver is a primal transportation simplex on the dense bipartite
 graph: a monotone-staircase start (the quantile merge of :mod:`otslice.ot1d`
-on the lexicographically sorted atoms), one tree walk per pivot for the duals
-and the entering cycle, and most-negative-reduced-cost entering steps that
-fall back to the provably finite lowest-index lexicographic rule if
-degeneracy drags on. Tolerances are relative to the largest cost, so results
-do not depend on the units of the points. Every solve ends with a
-complementary-slackness, marginal and strong-duality audit; anything
-suspicious raises :class:`SolverFailure` rather than returning a value.
+on the lexicographically sorted atoms), and most-negative-reduced-cost
+entering steps that fall back to the provably finite lowest-index
+lexicographic rule if degeneracy drags on. The basis tree is walked once;
+after a pivot only the subtree cut off by the leaving cell is re-hung and
+walked (Bonneel, van de Panne, Paris and Heidrich, SIGGRAPH Asia 2011), each
+dual still summed along its tree path from row 0. Tolerances are relative to
+the largest cost, so results do not depend on the units of the points. Every
+solve ends with a complementary-slackness, marginal and strong-duality
+audit; anything suspicious raises :class:`SolverFailure`.
 
 Equal-size uniform-weight instances route to a cubic-time assignment solve
 (`scipy.optimize.linear_sum_assignment`), which is what makes the n ~ 1000
@@ -21,18 +23,14 @@ when reporting, never inside the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import (
-    DimensionMismatch,
-    InvalidOrder,
-    ProblemTooLarge,
-    SolverFailure,
-)
-from .measures import DiscreteMeasure
+from .errors import ProblemTooLarge, SolverFailure
+from .measures import DiscreteMeasure, _check_pair
 from .ot1d import _equal_uniform, _monotone_rows
 
 # Dense cost-matrix size guard.
@@ -84,11 +82,8 @@ class DualCertificate:
         return float(np.max(self.f[:, None] + self.g[None, :] - cost))
 
 
-def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
-    if p < 1:
-        raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
+def _check_dense(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
+    _check_pair(mu, nu, p)
     if mu.n * nu.n > MAX_DENSE_CELLS:
         raise ProblemTooLarge(f"{mu.n} x {nu.n} cost matrix exceeds the dense guard")
 
@@ -112,32 +107,23 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> dict:
     return dict(zip(zip(i[keep].tolist(), j[keep].tolist()), mass[keep].tolist()))
 
 
-def _tree_walk(adj, n, m):
-    """One walk of the basis tree from row 0: duals, parents and depths.
-
-    Node ids: rows 0..n-1, columns n..n+m-1; ``adj[k]`` maps each tree
-    neighbour of node k to the cost of the cell between them. The duals
-    solve u_i + v_j = c_ij on the tree, anchored at u_0 = 0.
-    """
-    pot = [0.0] * (n + m)
-    parent = [-1] * (n + m)
-    depth = [-1] * (n + m)
-    depth[0] = 0
-    order = [0]
-    for k in order:  # the list grows while it is read: every node once
+def _hang(adj, pot, parent, depth, top):
+    """Set duals, parents and depths below ``top`` from its own; returns the nodes reached."""
+    order = [top]
+    # the list grows while it is read; past len(pot) nodes the cells hold a cycle
+    for k in islice(order, len(pot)):
+        pk, uk, dk = parent[k], pot[k], depth[k] + 1
         for node, c in adj[k].items():
-            if depth[node] < 0:
-                pot[node] = c - pot[k]
+            if node != pk:
+                pot[node] = c - uk
                 parent[node] = k
-                depth[node] = depth[k] + 1
+                depth[node] = dk
                 order.append(node)
-    if len(order) < n + m:
-        raise SolverFailure("basis does not span the bipartite graph")
-    return np.array(pot), parent, depth
+    return len(order)
 
 
 def _cycle_path(parent, depth, ei, ej, n):
-    """Cells on the tree path from row ei to column ej, via the parent chains' meeting node."""
+    """Cells on the tree path from row ei to column ej, and how many lie on ei's parent chain."""
     up, down = [ei], [n + ej]
     while depth[up[-1]] > depth[down[-1]]:
         up.append(parent[up[-1]])
@@ -147,7 +133,7 @@ def _cycle_path(parent, depth, ei, ej, n):
         up.append(parent[up[-1]])
         down.append(parent[down[-1]])
     nodes = up + down[-2::-1]
-    return [(x, y - n) if x < n else (y, x - n) for x, y in zip(nodes, nodes[1:])]
+    return [(x, y - n) if x < n else (y, x - n) for x, y in zip(nodes, nodes[1:])], len(up) - 1
 
 
 def _transportation_simplex(C, a, b):
@@ -167,11 +153,17 @@ def _transportation_simplex(C, a, b):
     adj = [{} for _ in range(n + m)]  # tree neighbour -> cost of the cell between
     for i, j in X:
         adj[i][n + j] = adj[n + j][i] = float(C[i, j])
+    # duals solve u_i + v_j = c_ij on the tree, anchored at u_0 = 0; node ids
+    # are rows 0..n-1 and columns n..n+m-1
+    pot, parent, depth = [0.0] * (n + m), [-1] * (n + m), [0] * (n + m)
+    if _hang(adj, pot, parent, depth, 0) != n + m:
+        raise SolverFailure("basis does not span the bipartite graph")
 
     it = 0
     while True:
-        pot, parent, depth = _tree_walk(adj, n, m)
-        rc = C - pot[:n, None] - pot[None, n:]
+        duals = np.array(pot)
+        rc = C - duals[:n, None]
+        rc -= duals[n:]
         if it < dantzig_limit:
             flat = int(np.argmin(rc))  # first minimum in row-major = lex smallest
             ei, ej = divmod(flat, m)
@@ -186,7 +178,7 @@ def _transportation_simplex(C, a, b):
         if it >= total_limit:
             raise SolverFailure(f"pivot limit {total_limit} exceeded on {n}x{m} instance")
 
-        path = _cycle_path(parent, depth, ei, ej, n)
+        path, below_ei = _cycle_path(parent, depth, ei, ej, n)
         minus = path[0::2]
         plus = path[1::2]
         theta = min(X[c] for c in minus)
@@ -200,6 +192,11 @@ def _transportation_simplex(C, a, b):
         adj[ei][n + ej] = adj[n + ej][ei] = float(C[ei, ej])
         li, lj = leaving
         del adj[li][n + lj], adj[n + lj][li]
+        # the leaving cell cuts off the subtree holding the entering cell's end
+        # on its side of the cycle; re-hang that subtree from the other end
+        q, r = (ei, n + ej) if path.index(leaving) < below_ei else (n + ej, ei)
+        parent[q], depth[q], pot[q] = r, depth[r] + 1, adj[q][r] - pot[r]
+        _hang(adj, pot, parent, depth, q)
         it += 1
 
     # certify before returning
@@ -211,7 +208,7 @@ def _transportation_simplex(C, a, b):
     col_sum = np.bincount(cj, weights=mass, minlength=m)
     if np.max(np.abs(row_sum - a)) > 1e-9 or np.max(np.abs(col_sum - b)) > 1e-9:
         raise SolverFailure("marginal mismatch at claimed optimum")
-    u, v = pot[:n], pot[n:]
+    u, v = duals[:n], duals[n:]
     cost = float(mass @ C[ci, cj])
     dual = float(a @ u + b @ v)
     if abs(cost - dual) > 1e-7 * max(min(1.0, cscale), abs(cost)):
@@ -247,10 +244,11 @@ def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     return oa[i], ob[j], mass, u, v, cost
 
 
-def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportPlan:
-    """Optimal transport plan for cost |x - y|^p between two discrete measures."""
-    _check_pair(mu, nu, p)
+def _exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
+    """Plan of :func:`wasserstein_exact` and simplex duals [u, v] (None on the assignment path)."""
+    _check_dense(mu, nu, p)
     n, m = mu.n, nu.n
+    duals = None
     if _equal_uniform(mu.weights, nu.weights):
         C = _cost_matrix(mu.points, nu.points, p)
         i = np.arange(n)
@@ -258,20 +256,34 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> Tra
         mass = np.full(n, 1.0 / n)
         cost = float(C[i, j].sum() / n)
     else:
-        i, j, mass, _, _, cost = _solve_simplex(mu, nu, p)
+        i, j, mass, *duals, cost = _solve_simplex(mu, nu, p)
         keep = mass > 0.0
         order = np.lexsort((j[keep], i[keep]))
         i, j, mass = i[keep][order], j[keep][order], mass[keep][order]
     return TransportPlan(
         i=i, j=j, mass=mass, primal_value=cost ** (1.0 / p), order=p,
         source_size=n, target_size=m,
-    )
+    ), duals
+
+
+def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportPlan:
+    """Optimal transport plan for cost |x - y|^p between two discrete measures."""
+    return _exact(mu, nu, p)[0]
 
 
 def dual_potentials_w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DualCertificate:
     """Optimal Kantorovich potentials for p = 1 from the simplex tree duals."""
-    _check_pair(mu, nu, 1.0)
-    _, _, _, u, v, _ = _solve_simplex(mu, nu, 1.0)
+    _check_dense(mu, nu, 1.0)
+    return _certificate(mu, nu, *_solve_simplex(mu, nu, 1.0)[3:5])
+
+
+def _plan_and_dual_w1(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """:func:`wasserstein_exact` at p = 1 and :func:`dual_potentials_w1` from one simplex solve."""
+    plan, duals = _exact(mu, nu, 1.0)
+    return plan, dual_potentials_w1(mu, nu) if duals is None else _certificate(mu, nu, *duals)
+
+
+def _certificate(mu: DiscreteMeasure, nu: DiscreteMeasure, u, v) -> DualCertificate:
     f = u - u[0]
     g = v + u[0]
     dual_value = float(mu.weights @ f + nu.weights @ g)
@@ -280,7 +292,5 @@ def dual_potentials_w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DualCertific
 
 def duality_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """|primal - dual| for p = 1; small by strong LP duality, else the solver lied."""
-    _check_pair(mu, nu, 1.0)
-    _, _, _, u, v, primal = _solve_simplex(mu, nu, 1.0)
-    dual = float(mu.weights @ u + nu.weights @ v)
-    return abs(primal - dual)
+    plan, cert = _plan_and_dual_w1(mu, nu)
+    return abs(plan.primal_value - cert.dual_value)

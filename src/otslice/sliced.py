@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOrder, InvalidSpec
-from .measures import DiscreteMeasure
+from .errors import InvalidSpec
+from .measures import DiscreteMeasure, _check_pair
 from .ot1d import to_measure1d, wasserstein_1d, wasserstein_pp_batch
 from .sphere import QuadratureGrid, quadrature_grid, sample_uniform, surface_area
 
@@ -84,10 +84,7 @@ def sliced_wasserstein(
     normalized: bool = False,
 ) -> SlicedEstimate:
     """(surface integral of W_p(mu_v, nu_v)^p dv)^(1/p), optionally / A_d^(1/p)."""
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dim {mu.dim} vs {nu.dim}")
-    if p < 1:
-        raise InvalidOrder(f"order must satisfy p >= 1, got {p}")
+    _check_pair(mu, nu, p)
     d = mu.dim
     if scheme is None:
         scheme = default_scheme(d)

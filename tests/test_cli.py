@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from otslice import Scheme, cli
+from otslice import Scheme, cli, dual_potentials_w1, load_measure, ot_exact, wasserstein_exact
 from otslice.cli import main
 
 
@@ -99,6 +99,40 @@ class TestDist:
         assert code == 0
         entry = json.loads(out.read_text())["metrics"]["w"]
         assert entry["duality_gap"] <= 1e-7
+
+    def test_dual_report_one_simplex_solve(self, tmp_path, monkeypatch):
+        # a weighted pair: the plan and the duals come from one simplex solve,
+        # and the report equals the two separate library calls
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("x,y,weight\n0,0,0.2\n1,0,0.3\n0,2,0.5\n")
+        b.write_text("x,y,weight\n0.5,0.5,0.6\n2,1,0.4\n")
+        mu, nu = load_measure(a), load_measure(b)
+        plan, cert = wasserstein_exact(mu, nu, 1.0), dual_potentials_w1(mu, nu)
+        calls = []
+        solve = ot_exact._transportation_simplex
+        monkeypatch.setattr(ot_exact, "_transportation_simplex",
+                            lambda *args: calls.append(1) or solve(*args))
+        out = tmp_path / "r.json"
+        code = main(["dist", str(a), str(b), "--metric", "w", "--p", "1", "--dual",
+                     "--out", str(out)])
+        assert code == 0
+        assert len(calls) == 1
+        entry = json.loads(out.read_text())["metrics"]["w"]
+        assert entry["value"] == plan.primal_value
+        assert entry["dual_value"] == cert.dual_value
+        assert entry["duality_gap"] == abs(plan.primal_value - cert.dual_value)
+
+    def test_non_finite_order_and_tol_exit_2(self, pair_files, capsys):
+        # inf and NaN passed the p < 1 check: --metric sw exited 0, --metric w
+        # exited 4 with "basis does not span"
+        a, b = pair_files
+        for metric in ("w", "sw", "maxsw", "all"):
+            for p in ("inf", "nan"):
+                assert main(["dist", str(a), str(b), "--metric", metric, "--p", p]) == 2
+                assert "InvalidOrder" in capsys.readouterr().err
+        assert main(["dist", str(a), str(b), "--metric", "maxsw", "--certified",
+                     "--tol", "nan"]) == 2
+        assert "InvalidOrder" in capsys.readouterr().err
 
     def test_plan_dump(self, pair_files, tmp_path):
         a, b = pair_files

@@ -7,6 +7,7 @@ import pytest
 from otslice import (
     BudgetExceeded,
     DimensionMismatch,
+    InvalidOrder,
     InvalidSpec,
     Scheme,
     UnsupportedDimension,
@@ -190,6 +191,20 @@ class TestCertified:
         res = max_sliced_certified(mu, nu, 1.0, tol=1e-9)
         assert res.lower == res.upper
         assert res.lower == wasserstein_1d(to_measure1d(mu), to_measure1d(nu), 1.0)
+
+    def test_non_finite_order_and_tol(self, rng):
+        # inf and NaN used to pass the p < 1 and tol <= 0 checks; a NaN tol
+        # gave a "certified" bracket of any width
+        mu, nu = random_pair(rng, 2, max_atoms=6)
+        for p in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidOrder):
+                max_sliced_certified(mu, nu, p, tol=1e-3)
+            with pytest.raises(InvalidOrder):
+                max_sliced(mu, nu, p)
+            with pytest.raises(InvalidOrder):
+                projected_distance(mu, nu, p, np.array([1.0, 0.0]))
+        with pytest.raises(InvalidOrder):
+            max_sliced_certified(mu, nu, 1.0, tol=math.nan)
 
     def test_unsupported_dimension(self, rng):
         mu, nu = random_pair(rng, 4, max_atoms=6)

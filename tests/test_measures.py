@@ -91,6 +91,12 @@ class TestMomentP:
         with pytest.raises(InvalidOrder):
             moment_p(mu, 0.5)
 
+    def test_non_finite_order(self):
+        mu = make_discrete([[1.0]], [1.0])
+        for p in (math.inf, math.nan):
+            with pytest.raises(InvalidOrder):
+                moment_p(mu, p)
+
     def test_scaling_homogeneity(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 20))

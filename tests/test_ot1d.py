@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from otslice import (
     wasserstein_exact,
     wasserstein_pp_batch,
 )
-from otslice.ot1d import _monotone_rows
+from otslice.ot1d import _merge_sorted, _monotone_rows, _sorted_rows
 from conftest import random_measure
 
 
@@ -118,6 +120,15 @@ class TestWasserstein1D:
                 base = wasserstein_1d(line(a, wa), line(b, wb), p)
                 shifted = wasserstein_1d(line(a + c, wa), line(b + c, wb), p)
                 assert shifted == pytest.approx(base, abs=1e-12)
+
+    def test_non_finite_order(self):
+        a, b = line([0.0, 1.0]), line([2.0])
+        for p in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidOrder):
+                wasserstein_1d(a, b, p)
+            with pytest.raises(InvalidOrder):
+                wasserstein_pp_batch(np.zeros((2, 3)), np.ones((2, 2)), np.full(3, 1 / 3),
+                                     np.full(2, 0.5), p)
 
     def test_lp_oracle_equivalence(self, rng):
         # quantile formula against the independent transportation solve
@@ -288,3 +299,32 @@ class TestMonotoneMerge:
                 live = mass[r] > 0.0
                 assert np.all(np.diff(xs[r][i[r][live]]) >= 0.0)
                 assert np.all(np.diff(ys[r][j[r][live]]) >= 0.0)
+
+
+class TestRowSort:
+    def mixed_rows(self, rng, R, n):
+        """Rows alternate between untied values and ties: rounded, repeated, +0.0 and -0.0."""
+        xs = rng.standard_normal((R, n))
+        xs[::2] = np.round(xs[::2], 1)
+        xs[::4, 3] = xs[::4, 7]
+        xs[2::4, 0], xs[2::4, 5] = 0.0, -0.0
+        return xs
+
+    def test_orders_equal_stable_argsort(self, rng):
+        xs = self.mixed_rows(rng, 64, 40)
+        order, s = _sorted_rows(xs)
+        assert np.array_equal(order, np.argsort(xs, axis=1, kind="stable"))
+        assert np.array_equal(s, np.take_along_axis(xs, order, axis=1))
+        assert np.array_equal(np.signbit(s), np.signbit(np.take_along_axis(xs, order, axis=1)))
+
+    def test_merge_uses_stable_orders(self, rng):
+        for n, m in ((1, 9), (9, 1), (30, 20), (20, 30)):
+            xs = self.mixed_rows(rng, 32, max(n, 8))[:, :n]
+            ys = self.mixed_rows(rng, 32, max(m, 8))[:, :m]
+            wx, wy = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            mass, si, sj, ox, oy, sx, sy = _merge_sorted(xs, ys, wx, wy)
+            assert np.array_equal(ox, np.argsort(xs, axis=1, kind="stable"))
+            assert np.array_equal(oy, np.argsort(ys, axis=1, kind="stable"))
+            _, i, j = _monotone_rows(xs, ys, wx, wy)
+            assert np.array_equal(i, np.take_along_axis(ox, si, axis=1))
+            assert np.array_equal(j, np.take_along_axis(oy, sj, axis=1))

@@ -71,6 +71,12 @@ class TestSlicedBasics:
         with pytest.raises(InvalidOrder):
             sliced_wasserstein(mu, mu, 0.5)
 
+    def test_non_finite_order(self, rng):
+        mu, nu = random_pair(rng, 2)
+        for p in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidOrder):
+                sliced_wasserstein(mu, nu, p)
+
     def test_unknown_scheme_kind(self, rng):
         mu = random_measure(rng, 2)
         with pytest.raises(InvalidSpec):
