@@ -24,7 +24,7 @@ from .errors import (
 )
 from .measures import load_measure
 from .maxsliced import max_sliced, max_sliced_certified
-from .ot_exact import _plan_and_dual_w1, wasserstein_exact
+from .ot_exact import _certificate, _exact, dual_potentials_w1, wasserstein_exact
 from .sliced import Scheme, default_scheme, sliced_wasserstein
 from .sphere import surface_area
 
@@ -104,13 +104,14 @@ def cmd_dist(args) -> int:
     if "w" in wanted:
         t0 = time.perf_counter()
         dual = p == 1 and args.dual  # one simplex solve serves the plan and the duals
-        plan, cert = _plan_and_dual_w1(mu, nu) if dual else (wasserstein_exact(mu, nu, p), None)
+        plan, duals = _exact(mu, nu, p) if dual else (wasserstein_exact(mu, nu, p), None)
         entry = {
             "value": plan.primal_value,
             "plan_support": int(plan.mass.shape[0]),
             "time_s": time.perf_counter() - t0,
         }
-        if cert is not None:
+        if dual:
+            cert = dual_potentials_w1(mu, nu) if duals is None else _certificate(mu, nu, *duals)
             entry["dual_value"] = cert.dual_value
             entry["duality_gap"] = abs(plan.primal_value - cert.dual_value)
         if args.plan_out:

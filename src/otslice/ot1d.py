@@ -177,13 +177,17 @@ def _equal_uniform(wx: np.ndarray, wy: np.ndarray) -> bool:
 
 
 def _sorted_rows(a: np.ndarray):
-    """Stable row argsort of ``a`` and its sorted rows; only rows with a tie need a stable sort."""
+    """Stable row argsort of ``a`` and its sorted rows."""
     order = np.argsort(a, axis=1)
     s = np.take_along_axis(a, order, axis=1)
-    tied = np.flatnonzero(np.any(s[:, 1:] == s[:, :-1], axis=1))
+    new = s[:, 1:] != s[:, :-1]
+    tied = np.flatnonzero(~np.all(new, axis=1))
     if tied.size:
-        order[tied] = np.argsort(a[tied], axis=1, kind="stable")
-        s[tied] = np.take_along_axis(a[tied], order[tied], axis=1)
+        # the default sort may permute equal values; sorting run * n + index restores their order
+        run = np.zeros((tied.size, a.shape[1]), dtype=order.dtype)
+        np.cumsum(new[tied], axis=1, out=run[:, 1:])
+        run *= a.shape[1]
+        order[tied] = np.sort(order[tied] + run, axis=1) - run
     return order, s
 
 

@@ -2,15 +2,13 @@
 
 The core solver is a primal transportation simplex on the dense bipartite
 graph: a monotone-staircase start (the quantile merge of :mod:`otslice.ot1d`
-on the lexicographically sorted atoms), and most-negative-reduced-cost
-entering steps that fall back to the provably finite lowest-index
-lexicographic rule if degeneracy drags on. The basis tree is walked once;
-after a pivot only the subtree cut off by the leaving cell is re-hung and
-walked (Bonneel, van de Panne, Paris and Heidrich, SIGGRAPH Asia 2011), each
-dual still summed along its tree path from row 0. Tolerances are relative to
-the largest cost, so results do not depend on the units of the points. Every
-solve ends with a complementary-slackness, marginal and strong-duality
-audit; anything suspicious raises :class:`SolverFailure`.
+on the lexicographically sorted atoms), duals that a pivot updates only on
+the subtree it re-hangs (Bonneel et al., SIGGRAPH Asia 2011), and
+most-negative-reduced-cost entering steps that fall back to the provably
+finite lowest-index lexicographic rule if degeneracy drags on. Tolerances
+are relative to the largest cost, so results do not depend on the units of
+the points. Every solve ends with a complementary-slackness, marginal and
+strong-duality audit; anything suspicious raises :class:`SolverFailure`.
 
 Equal-size uniform-weight instances route to a cubic-time assignment solve
 (`scipy.optimize.linear_sum_assignment`), which is what makes the n ~ 1000
@@ -80,12 +78,6 @@ class DualCertificate:
     def feasibility_margin(self, cost: np.ndarray) -> float:
         """Largest violation of f_i + g_j <= cost_ij (negative if feasible)."""
         return float(np.max(self.f[:, None] + self.g[None, :] - cost))
-
-
-def _check_dense(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
-    _check_pair(mu, nu, p)
-    if mu.n * nu.n > MAX_DENSE_CELLS:
-        raise ProblemTooLarge(f"{mu.n} x {nu.n} cost matrix exceeds the dense guard")
 
 
 def _staircase(a: np.ndarray, b: np.ndarray) -> dict:
@@ -217,6 +209,8 @@ def _transportation_simplex(C, a, b):
 
 
 def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    if len(x) * len(y) > MAX_DENSE_CELLS:
+        raise ProblemTooLarge(f"{len(x)} x {len(y)} cost matrix exceeds the dense guard")
     D = cdist(x, y)
     return D if p == 1 else D**p
 
@@ -246,7 +240,7 @@ def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
 
 def _exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Plan of :func:`wasserstein_exact` and simplex duals [u, v] (None on the assignment path)."""
-    _check_dense(mu, nu, p)
+    _check_pair(mu, nu, p)
     n, m = mu.n, nu.n
     duals = None
     if _equal_uniform(mu.weights, nu.weights):
@@ -273,14 +267,8 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> Tra
 
 def dual_potentials_w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DualCertificate:
     """Optimal Kantorovich potentials for p = 1 from the simplex tree duals."""
-    _check_dense(mu, nu, 1.0)
+    _check_pair(mu, nu, 1.0)
     return _certificate(mu, nu, *_solve_simplex(mu, nu, 1.0)[3:5])
-
-
-def _plan_and_dual_w1(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """:func:`wasserstein_exact` at p = 1 and :func:`dual_potentials_w1` from one simplex solve."""
-    plan, duals = _exact(mu, nu, 1.0)
-    return plan, dual_potentials_w1(mu, nu) if duals is None else _certificate(mu, nu, *duals)
 
 
 def _certificate(mu: DiscreteMeasure, nu: DiscreteMeasure, u, v) -> DualCertificate:
@@ -292,5 +280,7 @@ def _certificate(mu: DiscreteMeasure, nu: DiscreteMeasure, u, v) -> DualCertific
 
 def duality_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """|primal - dual| for p = 1; small by strong LP duality, else the solver lied."""
-    plan, cert = _plan_and_dual_w1(mu, nu)
-    return abs(plan.primal_value - cert.dual_value)
+    _check_pair(mu, nu, 1.0)
+    _, _, _, u, v, primal = _solve_simplex(mu, nu, 1.0)
+    dual = float(mu.weights @ u + nu.weights @ v)
+    return abs(primal - dual)
