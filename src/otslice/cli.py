@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
         sp.add_argument("--out", default=None, help="output path / prefix")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument("--threads", type=int, default=None, help="worker cap (default: cores)")
         sp.add_argument("--config", default=None, help="JSON config file, overridden by flags")
 
@@ -305,10 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", type=_parse_int_list, default=None)
     sp.add_argument("--reps", type=int, default=None)
     sp.add_argument("--p", type=float, default=None)
+    sp.add_argument("--format", choices=("json", "csv"), default=None,
+                    help="csv also writes the records as OUT.csv")
     common(sp)
     sp.set_defaults(
         fn=cmd_rates,
-        defaults={"d": 3, "n_list": [64, 128, 256, 512, 1024], "reps": 20, "p": 1.0},
+        defaults={"d": 3, "n_list": [64, 128, 256, 512, 1024], "reps": 20, "p": 1.0,
+                  "format": "json"},
     )
 
     sp = sub.add_parser("audit", help="sandwich-inequality audit over random instances")
@@ -338,7 +340,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, parser)
         _fill_defaults(args, args.defaults)
-        _fill_defaults(args, {"seed": 0, "format": "json", "threads": os.cpu_count() or 1})
+        _fill_defaults(args, {"seed": 0, "threads": os.cpu_count() or 1})
         return args.fn(args)
     except OTSliceError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

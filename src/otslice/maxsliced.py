@@ -33,14 +33,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
-from .ot1d import (
-    _equal_uniform,
-    _monotone_rows,
-    _segments,
-    to_measure1d,
-    wasserstein_1d,
-    wasserstein_pp_batch,
-)
+from .ot1d import _equal_uniform, _monotone_rows, to_measure1d, wasserstein_1d, wasserstein_pp_batch
 from .ot_exact import TransportPlan, wasserstein_exact
 from .sphere import as_unit, project
 
@@ -52,6 +45,9 @@ class DirectionResult:
     ``lower`` is the exact projected distance at ``v_star`` (a valid lower
     bound on the max-sliced distance); ``upper`` equals ``lower`` in
     heuristic mode and is a certified global upper bound in certified mode.
+    ``evaluations`` counts projected distances: in heuristic mode one per
+    ascent start plus every candidate of every backtracking ladder, in
+    certified mode one per patch center.
     """
 
     v_star: np.ndarray
@@ -61,45 +57,34 @@ class DirectionResult:
     mode: str
 
 
-def _monotone_pairs(mu, nu, v, with_indices=False):
-    """Monotone-coupling masses and projected gaps along direction v.
+def _project(mu, nu, dirs: np.ndarray):
+    """Projections of mu and nu onto each row of ``dirs``: arrays (R, n) and (R, m)."""
+    return (mu.points @ dirs.T).T, (nu.points @ dirs.T).T
 
-    Returns (mass, gap) or (mass, gap, i, j) with i, j original atom indices.
+
+def _pairings(mu, nu, dirs: np.ndarray):
+    """Projections onto the rows of ``dirs`` and one monotone pairing per row.
+
+    Returns ``(pa, pb, mass, i, j)``: row r pairs atom ``i[r, k]`` of mu with
+    atom ``j[r, k]`` of nu with mass ``mass[r, k]``. Equal-size uniform
+    measures pair their stably sorted atoms one to one with mass 1/n; other
+    pairs go through :func:`_monotone_rows`, whose rows may hold segments of
+    zero mass.
     """
-    px = mu.points @ v
-    py = nu.points @ v
-    n, m = px.shape[0], py.shape[0]
-    ox = np.argsort(px, kind="stable")
-    oy = np.argsort(py, kind="stable")
+    pa, pb = _project(mu, nu, dirs)
     if _equal_uniform(mu.weights, nu.weights):
-        mass = np.full(n, 1.0 / n)
-        i, j = ox, oy
+        i = np.argsort(pa, axis=1, kind="stable")
+        j = np.argsort(pb, axis=1, kind="stable")
+        mass = np.full(pa.shape, 1.0 / pa.shape[1])
     else:
-        cx = np.cumsum(mu.weights[ox])
-        cy = np.cumsum(nu.weights[oy])
-        cx[-1] = 1.0
-        cy[-1] = 1.0
-        mass, si, sj = _segments(cx, cy)
-        # rounding can push cx or cy past 1 before its snapped last entry
-        si = np.minimum(si, n - 1)
-        sj = np.minimum(sj, m - 1)
-        keep = mass > 0.0
-        mass, i, j = mass[keep], ox[si[keep]], oy[sj[keep]]
-    gap = px[i] - py[j]
-    if with_indices:
-        return mass, gap, i, j
-    return mass, gap
+        mass, i, j = _monotone_rows(pa, pb, mu.weights, nu.weights)
+    return pa, pb, mass, i, j
 
 
 def projected_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v) -> float:
     """Exact W_p between the projections of mu and nu onto direction v."""
     v = as_unit(v)
     return wasserstein_1d(project(mu, v), project(nu, v), p)
-
-
-def _objective_pp(mu, nu, p, v) -> float:
-    mass, gap = _monotone_pairs(mu, nu, v)
-    return float(np.sum(mass * np.abs(gap) ** p))
 
 
 def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v):
@@ -111,7 +96,10 @@ def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, 
     choice among several.
     """
     v = np.asarray(v, dtype=float)
-    mass, gap, i, j = _monotone_pairs(mu, nu, v, with_indices=True)
+    pa, pb, mass, i, j = (a[0] for a in _pairings(mu, nu, v[None]))
+    keep = mass > 0.0
+    mass, i, j = mass[keep], i[keep], j[keep]
+    gap = pa[i] - pb[j]
     value = float(np.sum(mass * np.abs(gap) ** p))
     coeff = mass * p * np.abs(gap) ** (p - 1.0) * np.sign(gap)
     grad = coeff @ (mu.points[i] - nu.points[j])
@@ -119,35 +107,35 @@ def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, 
 
 
 def _ascent(mu, nu, p, v0, max_iters):
-    """Backtracking subgradient ascent; returns (best v, best W_p^p, evals)."""
+    """Backtracking subgradient ascent; returns (best v, best W_p^p, evals).
+
+    Each iteration evaluates its whole ladder in one batch: the normalized
+    gradient (the eta -> inf limit of the update), then the steps
+    v + eta0 2^-k tangent, normalized, for k = 0..24. It moves to the first
+    candidate in that order that improves, as a serial first-improvement
+    search would. ``evals`` counts every candidate evaluated.
+    """
     L = moment_p(mu, p) + moment_p(nu, p)
-    eta0 = 0.5 / max(L, 1e-300)
+    etas = (0.5 / max(L, 1e-300)) * 0.5 ** np.arange(25.0)
     v = as_unit(v0)
     val, grad = projected_cost_gradient(mu, nu, p, v)
     evals = 1
     for _ in range(max_iters):
-        tangent = grad - float(grad @ v) * v
-        candidates = []
         gnorm = float(np.linalg.norm(grad))
-        if gnorm > 0.0:
-            candidates.append(grad / gnorm)  # the eta -> inf limit of the update
-        if float(np.linalg.norm(tangent)) > 0.0:
-            eta = eta0
-            for _ in range(25):
-                w = v + eta * tangent
-                candidates.append(w / np.linalg.norm(w))
-                eta *= 0.5
-        improved = False
-        for cand in candidates:
-            cval = _objective_pp(mu, nu, p, cand)
-            evals += 1
-            if cval > val + 1e-14 * (1.0 + abs(val)):
-                v, val = cand, cval
-                _, grad = projected_cost_gradient(mu, nu, p, v)
-                improved = True
-                break
-        if not improved:
+        if gnorm == 0.0:
             break
+        ladder = grad[None] / gnorm
+        tangent = grad - float(grad @ v) * v
+        if float(np.linalg.norm(tangent)) > 0.0:
+            steps = v + etas[:, None] * tangent
+            ladder = np.vstack([ladder, steps / np.linalg.norm(steps, axis=1, keepdims=True)])
+        vals = wasserstein_pp_batch(*_project(mu, nu, ladder), mu.weights, nu.weights, p)
+        evals += ladder.shape[0]
+        better = np.flatnonzero(vals > val + 1e-14 * (1.0 + abs(val)))
+        if not better.size:
+            break
+        v, val = ladder[better[0]], float(vals[better[0]])
+        _, grad = projected_cost_gradient(mu, nu, p, v)
     return v, val, evals
 
 
@@ -175,7 +163,13 @@ def max_sliced(
     starts: int = 8,
     seed: int = 0,
 ) -> DirectionResult:
-    """Best of ``starts`` ascent runs plus the 2d signed axis directions."""
+    """Best of ``starts`` ascent runs plus the 2d signed axis directions.
+
+    ``evaluations`` counts one projected distance per start and every
+    candidate of every ascent iteration: each iteration evaluates its whole
+    ladder (up to 26 directions) in one batch, even when the first one
+    improves.
+    """
     _check_pair(mu, nu, p)
     if starts < 1:
         raise InvalidOrder(f"starts must be >= 1, got {starts}")
@@ -269,9 +263,7 @@ class _CouplingBound:
 
 def _distance_batch(mu, nu, p, dirs: np.ndarray) -> np.ndarray:
     """Exact projected distances along each row of ``dirs``."""
-    pa = (mu.points @ dirs.T).T
-    pb = (nu.points @ dirs.T).T
-    return wasserstein_pp_batch(pa, pb, mu.weights, nu.weights, p) ** (1.0 / p)
+    return wasserstein_pp_batch(*_project(mu, nu, dirs), mu.weights, nu.weights, p) ** (1.0 / p)
 
 
 def _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz):
@@ -311,14 +303,7 @@ def _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz):
 
 def _patch_bounds(mu, nu, p, centers, steps, lipschitz):
     """Exact center distances and certified cap bounds for each patch."""
-    pa = (mu.points @ centers.T).T
-    pb = (nu.points @ centers.T).T
-    if _equal_uniform(mu.weights, nu.weights):
-        i = np.argsort(pa, axis=1, kind="stable")
-        j = np.argsort(pb, axis=1, kind="stable")
-        mass = np.full(pa.shape, 1.0 / pa.shape[1])
-    else:
-        mass, i, j = _monotone_rows(pa, pb, mu.weights, nu.weights)
+    pa, pb, mass, i, j = _pairings(mu, nu, centers)
     t = np.take_along_axis(pa, i, axis=1) - np.take_along_axis(pb, j, axis=1)
     diff = mu.points[i] - nu.points[j]
     znorm = np.linalg.norm(diff, axis=2)

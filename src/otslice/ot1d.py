@@ -5,13 +5,13 @@ their quantile functions on (0, 1). For finitely supported measures both
 quantile functions are piecewise constant, so the integral is a finite sum
 over the merged set of cumulative-weight breakpoints; no sampling is
 involved. The same breakpoint sweep yields the monotone (north-west-corner)
-coupling, so plan cost and distance agree to rounding.
+coupling, so plan cost and distance agree exactly.
 
-Two paths compute the sweep from plain ``cumsum`` weights. The
-single-measure path (:func:`wasserstein_1d`, :func:`monotone_coupling`)
-merges them with a binary search per breakpoint; the batched path
-(:func:`wasserstein_pp_batch`) sweeps R rows at once, and agrees with the
-single-measure path to rounding, not bit for bit.
+One merge, :func:`_merge_cum`, computes the sweep for R rows at once: one
+stable argsort of both rows' cumulative weights lists every breakpoint in
+order. The single-measure functions (:func:`wasserstein_1d`,
+:func:`monotone_coupling`) run it as one row on ``Measure1D.cum``; the
+direction scans (:func:`wasserstein_pp_batch`) run it on R projections.
 
 Quantile convention: the strict-exceedance inverse
 ``F^{-1}(t) = inf{x : mu((-inf, x]) > t}``. The distance is insensitive to
@@ -102,30 +102,6 @@ def quantile(m: Measure1D, t):
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
 
-def _segments(cx: np.ndarray, cy: np.ndarray):
-    """Merged breakpoint segments of two cumulative-weight vectors.
-
-    ``cx`` and ``cy`` are the cumulative weights of two sorted supports, each
-    ending at exactly 1. Returns ``(mass, i, j)``: on a segment of length
-    ``mass`` the quantiles are the sorted atoms ``i`` and ``j``. Each
-    breakpoint costs one binary search.
-    """
-    edges = np.union1d(cx, cy)
-    left = np.concatenate(([0.0], edges[:-1]))
-    mass = edges - left
-    i = np.searchsorted(cx, left, side="right")
-    j = np.searchsorted(cy, left, side="right")
-    return mass, i, j
-
-
-def wasserstein_1d(mu: Measure1D, nu: Measure1D, p: float) -> float:
-    """Exact order-p distance (integral of |quantile gap|^p, then 1/p root)."""
-    _check_order(p)
-    mass, i, j = _segments(mu.cum, nu.cum)
-    gaps = np.abs(mu.atoms[i] - nu.atoms[j])
-    return float(np.sum(mass * gaps**p)) ** (1.0 / p)
-
-
 @dataclass(frozen=True)
 class MonotoneCoupling:
     """Order-preserving coupling as sparse triples (i, j, mass).
@@ -147,23 +123,19 @@ class MonotoneCoupling:
 def monotone_coupling(mu: Measure1D, nu: Measure1D) -> MonotoneCoupling:
     """North-west-corner coupling over sorted atoms.
 
-    Built from the same breakpoint segments as :func:`wasserstein_1d`;
-    consecutive segments that pair the same atoms are merged, so the plan
-    cost at order p reproduces the distance's p-th power to rounding.
+    The positive-mass segments of one :func:`_merge_cum` row on ``mu.cum`` and
+    ``nu.cum``. Consecutive segments are split by a cumulative weight below 1
+    of one measure, so they never pair the same atoms.
     """
-    mass, i, j = _segments(mu.cum, nu.cum)
+    mass, i, j = (a[0] for a in _merge_cum(mu.cum[None], nu.cum[None]))
     keep = mass > 0.0
-    mass, i, j = mass[keep], i[keep], j[keep]
-    # merge consecutive segments that pair the same atoms
-    if mass.size:
-        new = np.empty(mass.shape[0], dtype=bool)
-        new[0] = True
-        new[1:] = (np.diff(i) != 0) | (np.diff(j) != 0)
-        group = np.cumsum(new) - 1
-        gm = np.zeros(group[-1] + 1)
-        np.add.at(gm, group, mass)
-        i, j, mass = i[new], j[new], gm
-    return MonotoneCoupling(i=i, j=j, mass=mass)
+    return MonotoneCoupling(i=i[keep], j=j[keep], mass=mass[keep])
+
+
+def wasserstein_1d(mu: Measure1D, nu: Measure1D, p: float) -> float:
+    """Exact order-p distance (integral of |quantile gap|^p, then 1/p root)."""
+    _check_order(p)
+    return monotone_coupling(mu, nu).cost(mu, nu, p) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +163,22 @@ def _sorted_rows(a: np.ndarray):
     return order, s
 
 
-def _merge_sorted(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
-    """Monotone merge of each row of ``xs`` (R, n) with the same row of ``ys`` (R, m).
+def _merge_cum(cx: np.ndarray, cy: np.ndarray):
+    """Monotone merge of cumulative-weight rows ``cx`` (R, n) and ``cy`` (R, m).
 
-    Returns ``(mass, si, sj, ox, oy, sx, sy)``, ``ox, sx = _sorted_rows(xs)``: on
-    segment k of row r the quantiles are ``sx[r, si[r, k]]`` and ``sy[r, sj[r, k]]``.
-    The cumulative weights (``cumsum`` in sorted order, snapped to end at 1) of
-    both rows are listed in order by one stable argsort of ``[cx, cy]``. The
-    count of x breakpoints before position k is the sorted x atom in force on
-    segment k, and the y breakpoints give j likewise; on every segment of
-    positive mass these counts equal the number of breakpoints at or below its
-    left edge, which is what a right-bisect finds. Per row this costs
-    O((n + m) log(n + m)) time and O(n + m) memory.
+    Each row holds the cumulative weights of a sorted support and ends at
+    exactly 1; rounding may leave an earlier entry just above 1, which the
+    index clips absorb. Returns ``(mass, si, sj)``, each (R, n + m): on
+    segment k of row r the quantiles are sorted atom ``si[r, k]`` of x and
+    ``sj[r, k]`` of y. One stable argsort of ``[cx, cy]`` lists the
+    breakpoints of both rows in order. The count of x breakpoints before
+    position k is the sorted x atom in force on segment k, and the y
+    breakpoints give j likewise; on every segment of positive mass these
+    counts equal the number of breakpoints at or below its left edge, which
+    is what a right-bisect finds. Ties leave segments of zero mass.
     """
-    n = xs.shape[1]
-    m = ys.shape[1]
-    ox, sx = _sorted_rows(xs)
-    oy, sy = _sorted_rows(ys)
-    cx = np.cumsum(wx[ox], axis=1)
-    cy = np.cumsum(wy[oy], axis=1)
-    cx[:, -1] = 1.0
-    cy[:, -1] = 1.0
+    n = cx.shape[1]
+    m = cy.shape[1]
     c = np.concatenate([cx, cy], axis=1)
     order = np.argsort(c, axis=1, kind="stable")
     mass = np.diff(np.take_along_axis(c, order, axis=1), axis=1, prepend=0.0)
@@ -221,7 +188,25 @@ def _merge_sorted(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray
     sj = np.arange(n + m) - si
     np.minimum(si, n - 1, out=si)
     np.minimum(sj, m - 1, out=sj)
-    return mass, si, sj, ox, oy, sx, sy
+    return mass, si, sj
+
+
+def _merge_sorted(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+    """Monotone merge of each row of ``xs`` (R, n) with the same row of ``ys`` (R, m).
+
+    Returns ``(mass, si, sj, ox, oy, sx, sy)``, ``ox, sx = _sorted_rows(xs)``: on
+    segment k of row r the quantiles are ``sx[r, si[r, k]]`` and ``sy[r, sj[r, k]]``.
+    The cumulative weights are ``cumsum`` in sorted order, snapped to end at 1,
+    and go through :func:`_merge_cum`. Per row this costs O((n + m) log(n + m))
+    time and O(n + m) memory.
+    """
+    ox, sx = _sorted_rows(xs)
+    oy, sy = _sorted_rows(ys)
+    cx = np.cumsum(wx[ox], axis=1)
+    cy = np.cumsum(wy[oy], axis=1)
+    cx[:, -1] = 1.0
+    cy[:, -1] = 1.0
+    return (*_merge_cum(cx, cy), ox, oy, sx, sy)
 
 
 def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):

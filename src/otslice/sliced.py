@@ -83,11 +83,17 @@ def sliced_wasserstein(
     scheme: Optional[Scheme] = None,
     normalized: bool = False,
 ) -> SlicedEstimate:
-    """(surface integral of W_p(mu_v, nu_v)^p dv)^(1/p), optionally / A_d^(1/p)."""
+    """(surface integral of W_p(mu_v, nu_v)^p dv)^(1/p), optionally / A_d^(1/p).
+
+    A Monte Carlo scheme needs at least 2 directions (:class:`InvalidSpec`).
+    """
     _check_pair(mu, nu, p)
     d = mu.dim
     if scheme is None:
         scheme = default_scheme(d)
+    if scheme.kind == "monte_carlo" and scheme.count < 2:
+        # one sample states no error and zero have no mean
+        raise InvalidSpec(f"Monte Carlo needs at least 2 directions, got {scheme.count}")
 
     if d == 1:
         # S^0 = {+1, -1}: both directions give the same distance, integrate exactly
@@ -112,7 +118,7 @@ def sliced_wasserstein(
         dirs = sample_uniform(d, scheme.count, scheme.seed)
         powers = _projected_powers(mu, nu, p, dirs)
         mean = float(np.mean(powers))
-        sem = float(np.std(powers, ddof=1) / math.sqrt(scheme.count)) if scheme.count > 1 else 0.0
+        sem = float(np.std(powers, ddof=1) / math.sqrt(scheme.count))
         factor = 1.0 if normalized else area
         integral = factor * mean
         value = max(0.0, integral) ** (1.0 / p)

@@ -66,6 +66,21 @@ class TestDist:
         assert main(["dist", str(a), str(b), "--metric", "sw"]) == 2
         assert "InvalidSpec" in capsys.readouterr().err
 
+    def test_monte_carlo_below_two_directions_exit_2(self, pair_files, capsys):
+        # mc:0 printed SW = 0.0 with stderr 0.0 and exited 0
+        a, b = pair_files
+        for scheme in ("mc:0", "mc:1", "mc:-3"):
+            assert main(["dist", str(a), str(b), "--metric", "sw", "--scheme", scheme]) == 2
+            assert "InvalidSpec" in capsys.readouterr().err
+
+    def test_format_only_on_rates(self, pair_files, capsys):
+        a, b = pair_files
+        for argv in (["dist", str(a), str(b)], ["audit"], ["cdscan"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", "csv"])
+            assert exc.value.code == 2
+            assert "--format" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         b = tmp_path / "b.csv"
         write_point(b, (1.0, 1.0))

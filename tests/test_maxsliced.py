@@ -25,7 +25,8 @@ from otslice import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from otslice.maxsliced import _box_geometry, _distance_batch, _halve, _patch_bounds
+from otslice import maxsliced
+from otslice.maxsliced import _ascent, _box_geometry, _distance_batch, _halve, _patch_bounds
 from conftest import random_measure, random_pair
 
 
@@ -59,6 +60,82 @@ class TestAscent:
             start = projected_distance(mu, nu, 2.0, v0)
             _, val = direction_ascent(mu, nu, 2.0, v0)
             assert val >= start - 1e-12
+
+
+def serial_ascent(mu, nu, p, v0, max_iters=100):
+    """First-improvement reference: try each ladder candidate in turn, stop at the first gain.
+
+    Returns the accepted directions, the final W_p^p and the ladder sizes summed
+    (every candidate a batch evaluates, plus the start).
+    """
+    L = moment_p(mu, p) + moment_p(nu, p)
+    eta0 = 0.5 / max(L, 1e-300)
+    v = v0 / np.linalg.norm(v0)
+    val, grad = projected_cost_gradient(mu, nu, p, v)
+    accepted, ladder_total = [], 1
+    for _ in range(max_iters):
+        tangent = grad - float(grad @ v) * v
+        candidates = []
+        if np.linalg.norm(grad) > 0.0:
+            candidates.append(grad / np.linalg.norm(grad))
+        if np.linalg.norm(tangent) > 0.0:
+            eta = eta0
+            for _ in range(25):
+                w = v + eta * tangent
+                candidates.append(w / np.linalg.norm(w))
+                eta *= 0.5
+        ladder_total += len(candidates)
+        for cand in candidates:
+            cval, cgrad = projected_cost_gradient(mu, nu, p, cand)
+            if cval > val + 1e-14 * (1.0 + abs(val)):
+                v, val, grad = cand, cval, cgrad
+                accepted.append(v)
+                break
+        else:
+            break
+    return accepted, val, ladder_total
+
+
+class TestAscentLadder:
+    def pairs(self, rng):
+        for k in range(12):
+            d = 2 + k % 2
+            if k % 3 == 2:
+                # integer lattices: projections tie along the axes
+                n, m = rng.integers(2, 15, 2)
+                yield (make_discrete(rng.integers(-3, 4, (n, d)).astype(float),
+                                     rng.dirichlet(np.ones(n))),
+                       make_discrete(rng.integers(-3, 4, (m, d)).astype(float),
+                                     rng.dirichlet(np.ones(m))))
+            else:
+                yield random_pair(rng, d, max_atoms=20, weighted=k % 3 == 0)
+
+    def test_batch_picks_the_serial_step(self, rng, monkeypatch):
+        gradients_at = []
+        original = maxsliced.projected_cost_gradient
+
+        def recording(mu, nu, p, v):
+            gradients_at.append(np.array(v))
+            return original(mu, nu, p, v)
+
+        monkeypatch.setattr(maxsliced, "projected_cost_gradient", recording)
+        runs = 0
+        for mu, nu in self.pairs(rng):
+            d = mu.dim
+            for p in (1.0, 1.5, 2.0):
+                for v0 in (np.eye(d)[0], rng.standard_normal(d)):
+                    accepted, ref_val, ladder_total = serial_ascent(mu, nu, p, v0)
+                    gradients_at.clear()
+                    _, val, evals = _ascent(mu, nu, p, v0, max_iters=100)
+                    # the batch takes one gradient at the start and one per accepted step
+                    steps = gradients_at[1:]
+                    assert len(steps) == len(accepted)
+                    for got, want in zip(steps, accepted):
+                        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+                    assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-300)
+                    assert evals == ladder_total
+                    runs += 1
+        assert runs == 12 * 3 * 2
 
 
 class TestGradient:

@@ -102,6 +102,16 @@ class TestMonteCarlo:
         est = sliced_wasserstein(mu, nu, 2.0, Scheme.monte_carlo(2000, seed=0))
         assert est.stderr > 0.0
 
+    def test_needs_two_directions(self, rng):
+        # 0 directions gave SW = 0 with stderr 0, 1 gave stderr 0, -3 a bare ValueError
+        for d in (1, 2, 4):
+            mu, nu = random_pair(rng, d, max_atoms=6)
+            for count in (1, 0, -3):
+                with pytest.raises(InvalidSpec, match="at least 2"):
+                    sliced_wasserstein(mu, nu, 1.0, Scheme.monte_carlo(count, seed=1))
+        est = sliced_wasserstein(mu, nu, 1.0, Scheme.monte_carlo(2, seed=1))
+        assert est.stderr > 0.0
+
     def test_seeded_reproducibility(self, rng):
         mu, nu = random_pair(rng, 4, max_atoms=8)
         a = sliced_wasserstein(mu, nu, 1.0, Scheme.monte_carlo(3000, seed=5))
