@@ -33,8 +33,9 @@ from .errors import (
     UnsupportedDimension,
 )
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
-from .ot1d import _equal_uniform, _monotone_rows, to_measure1d, wasserstein_1d, wasserstein_pp_batch
+from .ot1d import _equal_uniform, _monotone_rows, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, wasserstein_exact
+from .sliced import _projected_powers
 from .sphere import as_unit, project
 
 
@@ -57,11 +58,6 @@ class DirectionResult:
     mode: str
 
 
-def _project(mu, nu, dirs: np.ndarray):
-    """Projections of mu and nu onto each row of ``dirs``: arrays (R, n) and (R, m)."""
-    return (mu.points @ dirs.T).T, (nu.points @ dirs.T).T
-
-
 def _pairings(mu, nu, dirs: np.ndarray):
     """Projections onto the rows of ``dirs`` and one monotone pairing per row.
 
@@ -71,7 +67,7 @@ def _pairings(mu, nu, dirs: np.ndarray):
     pairs go through :func:`_monotone_rows`, whose rows may hold segments of
     zero mass.
     """
-    pa, pb = _project(mu, nu, dirs)
+    pa, pb = (mu.points @ dirs.T).T, (nu.points @ dirs.T).T
     if _equal_uniform(mu.weights, nu.weights):
         i = np.argsort(pa, axis=1, kind="stable")
         j = np.argsort(pb, axis=1, kind="stable")
@@ -129,7 +125,7 @@ def _ascent(mu, nu, p, v0, max_iters):
         if float(np.linalg.norm(tangent)) > 0.0:
             steps = v + etas[:, None] * tangent
             ladder = np.vstack([ladder, steps / np.linalg.norm(steps, axis=1, keepdims=True)])
-        vals = wasserstein_pp_batch(*_project(mu, nu, ladder), mu.weights, nu.weights, p)
+        vals = _projected_powers(mu, nu, p, ladder)
         evals += ladder.shape[0]
         better = np.flatnonzero(vals > val + 1e-14 * (1.0 + abs(val)))
         if not better.size:
@@ -263,7 +259,7 @@ class _CouplingBound:
 
 def _distance_batch(mu, nu, p, dirs: np.ndarray) -> np.ndarray:
     """Exact projected distances along each row of ``dirs``."""
-    return wasserstein_pp_batch(*_project(mu, nu, dirs), mu.weights, nu.weights, p) ** (1.0 / p)
+    return _projected_powers(mu, nu, p, dirs) ** (1.0 / p)
 
 
 def _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz):

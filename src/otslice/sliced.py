@@ -5,6 +5,10 @@ the p-th root. Inner 1D distances are exact (quantile method), so all
 estimation error comes from direction discretization. Unnormalized values
 integrate against the raw surface measure (total mass A_d); the normalized
 flag divides the integral by A_d before the root.
+
+Quadrature grids and Monte Carlo samples weight every direction equally,
+so the normalized W_p^p is the mean of exact values W_p^p(v_k): never above
+their maximum, hence never above max-sliced W_p^p, whatever the error.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .errors import InvalidSpec
 from .measures import DiscreteMeasure, _check_pair
 from .ot1d import to_measure1d, wasserstein_1d, wasserstein_pp_batch
-from .sphere import QuadratureGrid, quadrature_grid, sample_uniform, surface_area
+from .sphere import quadrature_grid, sample_uniform, surface_area
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,7 @@ class SlicedEstimate:
 
 
 def _projected_powers(mu, nu, p, directions) -> np.ndarray:
+    """Exact W_p^p between the projections of mu and nu along each row of ``directions``."""
     PA = mu.points @ directions.T
     PB = nu.points @ directions.T
     return wasserstein_pp_batch(PA.T, PB.T, mu.weights, nu.weights, p)
@@ -101,32 +106,19 @@ def sliced_wasserstein(
         value = w if normalized else (2.0 * w**p) ** (1.0 / p)
         return SlicedEstimate(value=value, scheme=scheme, stderr=0.0, normalized=normalized)
 
-    area = surface_area(d)
     if scheme.kind == "quadrature":
-        grid: QuadratureGrid = quadrature_grid(d, scheme.resolution)
-        integral = grid.integrate(_projected_powers(mu, nu, p, grid.directions))
-        if normalized:
-            integral /= area
-        return SlicedEstimate(
-            value=max(0.0, integral) ** (1.0 / p),
-            scheme=scheme,
-            stderr=0.0,
-            normalized=normalized,
-        )
-
-    if scheme.kind == "monte_carlo":
+        dirs = quadrature_grid(d, scheme.resolution).directions
+    elif scheme.kind == "monte_carlo":
         dirs = sample_uniform(d, scheme.count, scheme.seed)
-        powers = _projected_powers(mu, nu, p, dirs)
-        mean = float(np.mean(powers))
+    else:
+        raise InvalidSpec(f"unknown scheme kind {scheme.kind!r}")
+    # every direction carries weight A_d / len(dirs), so the integral is a mean
+    powers = _projected_powers(mu, nu, p, dirs)
+    factor = 1.0 if normalized else surface_area(d)
+    integral = factor * float(np.mean(powers))
+    value = max(0.0, integral) ** (1.0 / p)
+    stderr = 0.0
+    if scheme.kind == "monte_carlo" and integral > 0.0:
         sem = float(np.std(powers, ddof=1) / math.sqrt(scheme.count))
-        factor = 1.0 if normalized else area
-        integral = factor * mean
-        value = max(0.0, integral) ** (1.0 / p)
-        if integral > 0.0:
-            stderr = factor * sem * value ** (1.0 - p) / p
-        else:
-            stderr = 0.0
-        return SlicedEstimate(value=value, scheme=scheme, stderr=stderr, normalized=normalized)
-
-    raise InvalidSpec(f"unknown scheme kind {scheme.kind!r}")
-
+        stderr = factor * sem * value ** (1.0 - p) / p
+    return SlicedEstimate(value=value, scheme=scheme, stderr=stderr, normalized=normalized)

@@ -4,6 +4,8 @@ Surface integrals are kept unnormalized (grid weights sum to the total
 surface measure A_d = 2 pi^{d/2} / Gamma(d/2)); callers divide by A_d when
 they want the normalized convention. d = 2 uses equally spaced angles
 (trapezoid rule on the circle), d = 3 an equal-weight Fibonacci spiral.
+Both grids give every direction the weight A_d / resolution, as uniform
+sampling does, so a normalized integral is a plain mean over directions.
 """
 
 from __future__ import annotations

@@ -239,6 +239,20 @@ class TestSuites:
         summary = json.loads((tmp_path / "audit.summary.json").read_text())
         assert summary["violations"] == 0
 
+    def test_audit_without_instances_exit_2(self, capsys):
+        assert main(["audit", "--instances", "0"]) == 2
+        assert "DegenerateInstance" in capsys.readouterr().err
+
+    def test_audit_d4_names_certified_limit(self, capsys):
+        # was InvalidDimension "resolution must be >= 1, got 0" from the half-resolution solve
+        assert main(["audit", "--d-list", "4", "--instances", "1", "--threads", "1"]) == 2
+        assert "UnsupportedDimension" in capsys.readouterr().err
+
+    def test_rates_without_reps_exit_2(self, capsys):
+        # reps=0 crashed with an uncaught StopIteration and exit 1
+        assert main(["rates", "--reps", "0", "--n-list", "8,16,24,32"]) == 2
+        assert "reps must be >= 1" in capsys.readouterr().err
+
     def test_rates_writes_records(self, tmp_path):
         code = main(
             ["rates", "--d", "2", "--n-list", "8,16,24,32", "--reps", "2", "--seed", "5",

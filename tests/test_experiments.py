@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from otslice import DegenerateInstance, DimensionMismatch, GeneratorSpec, generate, make_discrete
+from otslice import (
+    DegenerateInstance,
+    DimensionMismatch,
+    GeneratorSpec,
+    UnsupportedDimension,
+    generate,
+    make_discrete,
+)
 from otslice import experiments as ex
 
 
@@ -111,6 +118,12 @@ class TestRateExperiment:
         ]
         assert all(means[k + 1] < means[k] for k in range(3))
 
+    def test_needs_a_replication(self):
+        # reps=0 gave no records, and the CLI then crashed on an empty fit list
+        for reps in (0, -1):
+            with pytest.raises(ValueError, match="reps"):
+                ex.rate_experiment(d=3, n_list=[8, 16, 24, 32], reps=reps, seed=1)
+
     def test_persistence_roundtrip(self, tmp_path):
         records, _ = ex.rate_experiment(d=2, n_list=[8, 16, 24, 32], reps=2, seed=7)
         path = tmp_path / "records.jsonl"
@@ -137,6 +150,32 @@ class TestInequalityAudit:
         )
         assert len(report.cells) == 6
         assert math.isfinite(report.margin_mean)
+
+    def test_one_sliced_solve_per_instance(self, monkeypatch):
+        calls = []
+        real = ex.sliced_wasserstein
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "sliced_wasserstein", counting)
+        report = ex.inequality_audit(
+            d_list=[2, 3], p_list=[1.0, 2.0], instances_per_cell=2, seed=4, certified_tol=1e-3
+        )
+        assert len(calls) == len(report.cells) == 8
+        assert {c.resolution for c in calls} == {1024, 4096}
+
+    def test_needs_an_instance(self):
+        # instances_per_cell=0 failed inside numpy on an empty margin list
+        for d_list, p_list, k in (([2], [1.0], 0), ([], [1.0], 1), ([2], [], 1)):
+            with pytest.raises(DegenerateInstance):
+                ex.inequality_audit(d_list=d_list, p_list=p_list, instances_per_cell=k, seed=0)
+
+    def test_d4_unsupported_by_certified_search(self):
+        # a half-resolution SW solve built quadrature(0) from the Monte Carlo default
+        with pytest.raises(UnsupportedDimension):
+            ex.inequality_audit(d_list=[4], p_list=[1.0], instances_per_cell=1, seed=0)
 
 
 class TestCdScan:

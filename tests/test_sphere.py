@@ -62,6 +62,8 @@ class TestQuadratureGrid:
         for d, res in ((2, 37), (3, 501)):
             grid = quadrature_grid(d, res)
             assert grid.weights.sum() == pytest.approx(surface_area(d), rel=1e-10)
+            # sliced_wasserstein takes a plain mean over the grid directions
+            assert np.all(grid.weights == grid.weights[0])
 
     def test_integrates_constants_exactly(self):
         grid = quadrature_grid(3, 256)
