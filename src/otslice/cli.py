@@ -41,11 +41,13 @@ def _parse_scheme(text: str) -> Scheme:
 
 
 def _parse_int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    """Comma-separated ints, optionally in brackets (a JSON list's text)."""
+    return [int(tok) for tok in text.strip("[]").split(",") if tok.strip()]
 
 
 def _parse_float_list(text: str):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """Comma-separated floats, optionally in brackets (a JSON list's text)."""
+    return [float(tok) for tok in text.strip("[]").split(",") if tok.strip()]
 
 
 def _emit(report: dict, args) -> None:
@@ -56,24 +58,37 @@ def _emit(report: dict, args) -> None:
     print(text)
 
 
-def _apply_config(args, parser) -> None:
-    """Fill unset flags from a JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
+def _apply_config(args) -> None:
+    """Fill unset flags from a JSON config file; explicit flags win.
+
+    Each value goes through its flag's own ``type`` as the command line
+    would: a string as it stands, a JSON number or list as its JSON text.
+    A switch takes a JSON boolean, an untyped flag a string among its
+    ``choices``. A value of the wrong kind raises ValueError (exit 2).
+    """
+    if not args.config:
         return
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    sub = args.parser
+    flags = {a.dest: a for a in sub._actions if a.option_strings and hasattr(args, a.dest)}
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            if attr == "scheme" and isinstance(value, str):
-                value = _parse_scheme(value)
-            if attr in ("n_list", "d_list") and isinstance(value, str):
-                value = _parse_int_list(value)
-            if attr == "p_list" and isinstance(value, str):
-                value = _parse_float_list(value)
-            setattr(args, attr, value)
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            sub.error(f"unknown config key {key!r}")
+        if getattr(args, action.dest) is not None:
+            continue
+        if action.type is not None:
+            try:
+                value = action.type(value if isinstance(value, str) else json.dumps(value))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        kind = bool if action.nargs == 0 else str if action.type is None else object
+        if not isinstance(value, kind) or (action.choices and value not in action.choices):
+            raise ValueError(f"config key {key!r}: invalid value {value!r}")
+        setattr(args, action.dest, value)
 
 
 def _fill_defaults(args, defaults: dict) -> None:
@@ -278,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path / prefix")
         sp.add_argument("--threads", type=int, default=None, help="worker cap (default: cores)")
         sp.add_argument("--config", default=None, help="JSON config file, overridden by flags")
+        sp.set_defaults(parser=sp)
 
     sp = sub.add_parser("dist", help="distances between two point-cloud files")
     sp.add_argument("file_a")
@@ -338,7 +354,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        _apply_config(args)
         _fill_defaults(args, args.defaults)
         _fill_defaults(args, {"seed": 0, "threads": os.cpu_count() or 1})
         return args.fn(args)

@@ -1,7 +1,7 @@
 """Max-sliced Wasserstein: heuristic ascent lower bounds and certified brackets.
 
 The objective v -> W_p(mu_v, nu_v) is Lipschitz on the sphere with constant
-L = M_p(mu) + M_p(nu) and attains its maximum. Two engines:
+M_p(mu) + M_p(nu) and attains its maximum. Two engines:
 
 * ``max_sliced``: multi-start projected subgradient ascent on W_p^p (the
   monotone coupling supplies an exact subgradient wherever the projected
@@ -9,12 +9,14 @@ L = M_p(mu) + M_p(nu) and attains its maximum. Two engines:
   evaluation, hence a valid lower bound.
 * ``max_sliced_certified``: branch-and-bound over boxes on the cube faces
   {v_k = 1}, pushed radially onto the sphere; the objective is even in v,
-  so these d faces cover every direction. Each patch upper bound combines
-  the Lipschitz estimate f(center) + L * step with a second valid bound
-  obtained by pushing one fixed optimal coupling of the full d-dimensional
-  problem through the projection: that bound collapses to 0 for equal
+  so these d faces cover every direction. Each patch upper bound is the
+  smaller of two cap bounds, each from a fixed coupling pushed through the
+  projection: the monotone pairing at the patch center (its cost is
+  Lipschitz with the pairing's own d-dimensional cost, and its tangent
+  gradient sharpens that for p = 1 and 2), and one optimal coupling of
+  the full d-dimensional problem. The second collapses to 0 for equal
   measures, which is what lets brackets on near-identical inputs close
-  instead of tiling the whole sphere at mesh tol / L.
+  instead of tiling the whole sphere.
 """
 
 from __future__ import annotations
@@ -198,21 +200,6 @@ def max_sliced(
 # ---------------------------------------------------------------------------
 
 
-def _lipschitz_constant(mu, nu, p) -> float:
-    """Valid Lipschitz constant for v -> W_p(mu_v, nu_v) on the sphere.
-
-    A common translation of both measures shifts both projections by the
-    same amount and leaves every projected distance unchanged, so the
-    moment-sum bound may be evaluated after recentering; the pooled mean
-    usually shrinks it considerably for off-origin data.
-    """
-    plain = moment_p(mu, p) + moment_p(nu, p)
-    center = 0.5 * (mu.weights @ mu.points + nu.weights @ nu.points)
-    mu_c = DiscreteMeasure(points=mu.points - center, weights=mu.weights, dim=mu.dim)
-    nu_c = DiscreteMeasure(points=nu.points - center, weights=nu.weights, dim=nu.dim)
-    return min(plain, moment_p(mu_c, p) + moment_p(nu_c, p))
-
-
 def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
     """Reject a plan that is not a coupling of (mu, nu) for order p."""
     if plan.source_size != mu.n or plan.target_size != nu.n:
@@ -262,48 +249,39 @@ def _distance_batch(mu, nu, p, dirs: np.ndarray) -> np.ndarray:
     return _projected_powers(mu, nu, p, dirs) ** (1.0 / p)
 
 
-def _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz):
-    """Certified sup of the projected distance over caps around ``centers``.
+def _patch_bounds(mu, nu, p, centers, steps):
+    """Exact center distances and certified cap bounds for each patch.
 
-    Works on one fixed monotone pairing per row: its pushforward is a
+    Works on one fixed monotone pairing per center: its pushforward is a
     feasible coupling of the projections at every direction, with equality
-    at the center, so any valid sup bound on
-    h(v)^p = sum mass |v . z|^p over the cap bounds the distance itself.
-
-    For p = 1 and p = 2 the bound uses the pairing's tangent gradient (the
-    generic Lipschitz constant is replaced by a local slope that vanishes
-    at a smooth maximizer); other orders fall back to the pairing-cost
-    constant. All variants also cap at f(center) + lipschitz * step.
+    at the center, so any valid sup bound on h(v)^p = sum mass |v . z|^p
+    over the cap of chord ``steps`` bounds the distance itself. h is
+    Lipschitz with the pairing's own cost dc = (sum mass |z|^p)^(1/p),
+    which gives the cap f + step * dc for every order. For p = 1 and p = 2
+    the pairing's tangent gradient replaces dc with a local slope that
+    vanishes at a smooth maximizer, and the resulting bound never exceeds
+    f + step * dc.
     """
-    f_pp = np.sum(mass * np.abs(t) ** p, axis=1)
-    f = f_pp ** (1.0 / p)
-    dc = np.sum(mass * znorm**p, axis=1) ** (1.0 / p)
-    slope = np.minimum(lipschitz, dc)
-
-    if p == 1:
-        signs = np.sign(t)
-        nonflip = np.abs(t) > steps[:, None] * znorm
-        g = np.einsum("rk,rkd->rd", mass * signs * nonflip, diff)
-        g_tan = g - np.einsum("rd,rd->r", g, centers)[:, None] * centers
-        local = np.linalg.norm(g_tan, axis=1) + np.sum(mass * znorm * ~nonflip, axis=1)
-        ub = f + steps * np.minimum(slope, local)
-    elif p == 2:
-        ac = np.einsum("rk,rkd->rd", mass * t, diff)
-        ac_tan = ac - np.einsum("rd,rd->r", ac, centers)[:, None] * centers
-        quad = f_pp + 2.0 * steps * np.linalg.norm(ac_tan, axis=1) + steps**2 * dc**2
-        ub = np.minimum(f + steps * slope, np.sqrt(np.maximum(0.0, quad)))
-    else:
-        ub = f + steps * slope
-    return f, ub
-
-
-def _patch_bounds(mu, nu, p, centers, steps, lipschitz):
-    """Exact center distances and certified cap bounds for each patch."""
     pa, pb, mass, i, j = _pairings(mu, nu, centers)
     t = np.take_along_axis(pa, i, axis=1) - np.take_along_axis(pb, j, axis=1)
     diff = mu.points[i] - nu.points[j]
     znorm = np.linalg.norm(diff, axis=2)
-    return _local_patch_bound(p, centers, steps, mass, t, diff, znorm, lipschitz)
+    f_pp = np.sum(mass * np.abs(t) ** p, axis=1)
+    f = f_pp ** (1.0 / p)
+
+    if p == 1:
+        nonflip = np.abs(t) > steps[:, None] * znorm
+        g = np.einsum("rk,rkd->rd", mass * np.sign(t) * nonflip, diff)
+        g_tan = g - np.einsum("rd,rd->r", g, centers)[:, None] * centers
+        local = np.linalg.norm(g_tan, axis=1) + np.sum(mass * znorm * ~nonflip, axis=1)
+        return f, f + steps * local
+    dc = np.sum(mass * znorm**p, axis=1) ** (1.0 / p)
+    if p == 2:
+        ac = np.einsum("rk,rkd->rd", mass * t, diff)
+        ac_tan = ac - np.einsum("rd,rd->r", ac, centers)[:, None] * centers
+        quad = f_pp + 2.0 * steps * np.linalg.norm(ac_tan, axis=1) + steps**2 * dc**2
+        return f, np.sqrt(np.maximum(0.0, quad))
+    return f, f + steps * dc
 
 
 def _box_geometry(lo: np.ndarray, hi: np.ndarray):
@@ -349,13 +327,12 @@ def max_sliced_certified(
     {v_k = 1}. The first level is the d whole faces, centred on the axis
     directions; each later level halves every surviving box across its
     longest side twice and evaluates all centers in one vectorized sweep.
-    Each patch upper bound is the minimum of three valid cap bounds (the
-    global Lipschitz estimate f(center) + L * step, the pushed-optimal-
-    coupling estimate h(center) + W_p * step, and the center pairing's
-    local-slope bound; step bounds the chord from the center to the box),
-    inherited downward from the parent. The lower bound is the best exactly
-    evaluated center. Supports d in {1, 2, 3} (d = 1 is the trivial
-    two-point sphere).
+    Each patch upper bound is the minimum of two valid cap bounds (step
+    bounds the chord from the center to the box): the center pairing's
+    bound from ``_patch_bounds`` and the pushed-optimal-coupling estimate
+    h(center) + W_p * step. Children inherit it from their parent. The
+    lower bound is the best exactly evaluated center. Supports d in
+    {1, 2, 3} (d = 1 is the trivial two-point sphere).
 
     ``plan`` is an optimal plan of (mu, nu) for order p that the caller has
     already solved (``wasserstein_exact``); it feeds the coupling bound in
@@ -382,7 +359,6 @@ def max_sliced_certified(
             f"certified search covers d in {{1, 2, 3}}; use max_sliced for d={d}"
         )
 
-    L = _lipschitz_constant(mu, nu, p)
     bound = _CouplingBound(mu, nu, p, plan)
 
     # the first level: the d whole faces {v_k = 1} of the cube [-1, 1]^d
@@ -395,7 +371,7 @@ def max_sliced_certified(
 
     for _ in range(200):
         centers, step = _box_geometry(lo, hi)
-        fc, local_ub = _patch_bounds(mu, nu, p, centers, step, L)
+        fc, local_ub = _patch_bounds(mu, nu, p, centers, step)
         hc = bound.value_batch(centers)
         evals += centers.shape[0]
 

@@ -79,10 +79,6 @@ class QuadratureGrid:
     def resolution(self) -> int:
         return self.directions.shape[0]
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Fixed-order weighted sum; bit-stable across runs."""
-        return float(np.sum(self.weights * np.asarray(values, dtype=float)))
-
 
 def quadrature_grid(d: int, resolution: int) -> QuadratureGrid:
     """Deterministic surface-integration grid for d in {2, 3}.

@@ -218,6 +218,29 @@ class TestDist:
         assert code == 2
         assert "input error:" in capsys.readouterr().err
 
+    def test_config_strings_go_through_flag_types(self, pair_files, tmp_path):
+        # a string "2" used to reach the solvers and end in a TypeError traceback
+        a, b = pair_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "2", "starts": "3", "scheme": "quad:64"}))
+        out = tmp_path / "r.json"
+        assert main(["dist", str(a), str(b), "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["p"] == 2.0
+        assert report["metrics"]["sw"]["scheme"] == "quadrature(64)"
+
+    @pytest.mark.parametrize("cfg", [
+        {"p": [1]}, {"p": True}, {"p": None}, {"starts": 2.5}, {"tol": "small"},
+        {"certified": "yes"}, {"metric": "bogus"}, {"metric": 3}, {"scheme": 5},
+    ])
+    def test_config_value_of_wrong_kind_exit_2(self, pair_files, tmp_path, capsys, cfg):
+        a, b = pair_files
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["dist", str(a), str(b), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "input error:" in err and repr(next(iter(cfg))) in err
+
 
 class TestSuites:
     def test_cdscan_d1_exact(self, tmp_path, capsys):
@@ -265,6 +288,22 @@ class TestSuites:
         assert summary["schema"] == 1
         assert len(summary["fits"]) == 3
         assert (tmp_path / "rates.csv").exists()
+
+    def test_rates_config_strings_and_lists(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": "2", "n_list": [8, 16, 24, 32], "reps": "2"}))
+        out = tmp_path / "rates"
+        assert main(["rates", "--config", str(cfg), "--threads", "1", "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "rates.summary.json").read_text())
+        assert (summary["d"], summary["n_list"], summary["reps"]) == (2, [8, 16, 24, 32], 2)
+
+    def test_audit_config_lists(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d_list": [2], "p_list": "1,1.5", "instances": 1, "tol": 1e-3}))
+        out = tmp_path / "audit"
+        assert main(["audit", "--config", str(cfg), "--threads", "1", "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "audit.summary.json").read_text())
+        assert (summary["d_list"], summary["p_list"]) == ([2], [1.0, 1.5])
 
     def test_unknown_config_key_rejected(self, pair_files, tmp_path, capsys):
         a, b = pair_files

@@ -124,6 +124,16 @@ class TestRateExperiment:
             with pytest.raises(ValueError, match="reps"):
                 ex.rate_experiment(d=3, n_list=[8, 16, 24, 32], reps=reps, seed=1)
 
+    def test_short_n_list_rejected_before_solving(self, monkeypatch):
+        # fit_rates used to reject it only after every cell had been solved
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved a cell before checking n_list")
+
+        monkeypatch.setattr(ex, "wasserstein_exact", no_solve)
+        for n_list in ([8, 16, 32], [64]):
+            with pytest.raises(ValueError, match="at least 4"):
+                ex.rate_experiment(d=3, n_list=n_list, reps=2, seed=1)
+
     def test_persistence_roundtrip(self, tmp_path):
         records, _ = ex.rate_experiment(d=2, n_list=[8, 16, 24, 32], reps=2, seed=7)
         path = tmp_path / "records.jsonl"
@@ -150,6 +160,20 @@ class TestInequalityAudit:
         )
         assert len(report.cells) == 6
         assert math.isfinite(report.margin_mean)
+
+    def test_margins_cover_the_sandwich_only(self):
+        # the sqrt(d) check (criterion 4) fires on correct code; its negative
+        # margin used to drag margin_min below 0
+        report = ex.inequality_audit(
+            d_list=[2, 3], p_list=[1.0, 2.0], instances_per_cell=10, seed=303
+        )
+        assert report.violations_by_kind["w_le_sqrtd_maxsw"] > 0
+        assert report.violations_by_kind["sw_le_maxsw"] == 0
+        assert report.violations_by_kind["maxsw_le_w"] == 0
+        assert report.margin_min > 0
+        sandwich = [m for c in report.cells
+                    for m in (c.maxsw_upper + 1e-6 - c.sw_normalized, c.w + 1e-6 - c.maxsw_lower)]
+        assert report.margin_min == min(sandwich)
 
     def test_one_sliced_solve_per_instance(self, monkeypatch):
         calls = []

@@ -25,7 +25,8 @@ from otslice import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from otslice import maxsliced
+from otslice import experiments, maxsliced
+from otslice.measures import rng_stream
 from otslice.maxsliced import _ascent, _box_geometry, _distance_batch, _halve, _patch_bounds
 from conftest import random_measure, random_pair
 
@@ -352,6 +353,31 @@ class TestCertified:
             gap = wasserstein_1d(project(mu, e), project(nu, e), 1.0)
             assert gap <= 1e-9
 
+    def test_golden_audit_instances(self):
+        # frozen counts and brackets: a change to the cap bounds that alters
+        # the search at p in {1, 2} shows here first
+        for d, p, k, evals, lower, upper in _GOLDEN:
+            di, pi = d - 2, int(p) - 1
+            mu, nu = experiments.random_pair(d, rng_stream(303, 0xAD, di, pi, k))
+            res = max_sliced_certified(mu, nu, p, tol=1e-4)
+            assert res.evaluations == evals
+            assert res.lower == pytest.approx(lower, rel=1e-12, abs=0.0)
+            assert res.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
+
+
+# (d, p, instance, evaluations, lower, upper) of inequality_audit's seed-303
+# instances, tol 1e-4
+_GOLDEN = [
+    (2, 1.0, 0, 54, 1.0570562361004492, 1.0571441709481293),
+    (2, 1.0, 1, 38, 1.1500078953972679, 1.1500162154085205),
+    (2, 2.0, 0, 54, 0.7295124093117417, 0.7295450696717495),
+    (2, 2.0, 1, 46, 0.9337972437817867, 0.9338164509200719),
+    (3, 1.0, 0, 303, 1.987013847931256, 1.987064014422614),
+    (3, 1.0, 1, 595, 0.7231761171220563, 0.7232536402401915),
+    (3, 2.0, 0, 475, 1.2061476919958207, 1.2062375699294152),
+    (3, 2.0, 1, 839, 1.0355545205323022, 1.03565112252217),
+]
+
 
 class TestPatchBounds:
     def test_weighted_centers_equal_distance_batch(self, rng):
@@ -371,7 +397,7 @@ class TestPatchBounds:
                 centers /= np.linalg.norm(centers, axis=1, keepdims=True)
                 steps = rng.uniform(0.0, 0.2, 50)
                 for p in (1.0, 1.5, 2.0):
-                    f, ub = _patch_bounds(mu, nu, p, centers, steps, 10.0)
+                    f, ub = _patch_bounds(mu, nu, p, centers, steps)
                     assert np.array_equal(f, _distance_batch(mu, nu, p, centers))
                     assert np.all(ub >= f)
 
