@@ -8,15 +8,15 @@ M_p(mu) + M_p(nu) and attains its maximum. Two engines:
   sort order is locally stable). Every reported value is an exact 1D
   evaluation, hence a valid lower bound.
 * ``max_sliced_certified``: branch-and-bound over boxes on the cube faces
-  {v_k = 1}, pushed radially onto the sphere; the objective is even in v,
-  so these d faces cover every direction. Each patch upper bound is the
-  smaller of two cap bounds, each from a fixed coupling pushed through the
-  projection: the monotone pairing at the patch center (its cost is
-  Lipschitz with the pairing's own d-dimensional cost, and its tangent
-  gradient sharpens that for p = 1 and 2), and one optimal coupling of
-  the full d-dimensional problem. The second collapses to 0 for equal
-  measures, which is what lets brackets on near-identical inputs close
-  instead of tiling the whole sphere.
+  {v_k = 1}, pushed radially onto the sphere, in any dimension d; the
+  objective is even in v, so these d faces cover every direction. Each
+  patch upper bound is the smaller of two cap bounds, each from a fixed
+  coupling pushed through the projection: the monotone pairing at the
+  patch center (its cost is Lipschitz with the pairing's own
+  d-dimensional cost, and its tangent gradient sharpens that for p = 1
+  and 2), and one optimal coupling of the full d-dimensional problem. The
+  second collapses to 0 for equal measures, which is what lets brackets
+  on near-identical inputs close instead of tiling the whole sphere.
 """
 
 from __future__ import annotations
@@ -26,18 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    InvalidOrder,
-    InvalidSpec,
-    SolverFailure,
-    UnsupportedDimension,
-)
+from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
 from .ot1d import _equal_uniform, _monotone_rows, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, wasserstein_exact
-from .sliced import _projected_powers
+from .sliced import CHUNK_ELEMENTS, _projected_powers
 from .sphere import as_unit, project
 
 
@@ -326,13 +319,15 @@ def max_sliced_certified(
     Level-synchronous branch-and-bound over boxes on the cube faces
     {v_k = 1}. The first level is the d whole faces, centred on the axis
     directions; each later level halves every surviving box across its
-    longest side twice and evaluates all centers in one vectorized sweep.
+    longest side twice and evaluates all centers in vectorized chunks of
+    boxes, which keep each chunk's temporaries near ``CHUNK_ELEMENTS``.
     Each patch upper bound is the minimum of two valid cap bounds (step
     bounds the chord from the center to the box): the center pairing's
     bound from ``_patch_bounds`` and the pushed-optimal-coupling estimate
     h(center) + W_p * step. Children inherit it from their parent. The
-    lower bound is the best exactly evaluated center. Supports d in
-    {1, 2, 3} (d = 1 is the trivial two-point sphere).
+    lower bound is the best exactly evaluated center. Works at every d
+    (d = 1 is the trivial two-point sphere); the work grows steeply with d,
+    and ``eval_budget`` bounds it.
 
     ``plan`` is an optimal plan of (mu, nu) for order p that the caller has
     already solved (``wasserstein_exact``); it feeds the coupling bound in
@@ -354,11 +349,6 @@ def max_sliced_certified(
         v = np.array([1.0])
         w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
         return DirectionResult(v_star=v, lower=w, upper=w, evaluations=1, mode="certified")
-    if d not in (2, 3):
-        raise UnsupportedDimension(
-            f"certified search covers d in {{1, 2, 3}}; use max_sliced for d={d}"
-        )
-
     bound = _CouplingBound(mu, nu, p, plan)
 
     # the first level: the d whole faces {v_k = 1} of the cube [-1, 1]^d
@@ -369,10 +359,14 @@ def max_sliced_certified(
     gap = 0.995 * tol  # slightly conservative so the final width meets tol strictly
     pruned_ceiling = -math.inf  # sup over discarded patches, always <= best + gap
 
+    # chunks of boxes keep the (boxes, n + m, d) temporaries under the cap
+    rows = max(1, CHUNK_ELEMENTS // ((mu.n + nu.n) * d))
     for _ in range(200):
         centers, step = _box_geometry(lo, hi)
-        fc, local_ub = _patch_bounds(mu, nu, p, centers, step)
-        hc = bound.value_batch(centers)
+        parts = [_patch_bounds(mu, nu, p, centers[s:s + rows], step[s:s + rows])
+                 + (bound.value_batch(centers[s:s + rows]),)
+                 for s in range(0, centers.shape[0], rows)]
+        fc, local_ub, hc = (np.concatenate(a) for a in zip(*parts))
         evals += centers.shape[0]
 
         k = int(np.argmax(fc))

@@ -74,11 +74,21 @@ class SlicedEstimate:
     normalized: bool
 
 
+# element cap on the per-chunk temporaries of a batch of directions
+CHUNK_ELEMENTS = 1 << 20
+
+
 def _projected_powers(mu, nu, p, directions) -> np.ndarray:
-    """Exact W_p^p between the projections of mu and nu along each row of ``directions``."""
-    PA = mu.points @ directions.T
-    PB = nu.points @ directions.T
-    return wasserstein_pp_batch(PA.T, PB.T, mu.weights, nu.weights, p)
+    """Exact W_p^p between the projections of mu and nu along each row of ``directions``.
+
+    Rows go through in chunks of about ``CHUNK_ELEMENTS / (n + m)``.
+    """
+    rows = max(1, CHUNK_ELEMENTS // (mu.n + nu.n))
+    chunks = [directions[s:s + rows] for s in range(0, max(1, directions.shape[0]), rows)]
+    return np.concatenate([
+        wasserstein_pp_batch((mu.points @ c.T).T, (nu.points @ c.T).T, mu.weights, nu.weights, p)
+        for c in chunks
+    ])
 
 
 def sliced_wasserstein(

@@ -71,14 +71,6 @@ class QuadratureGrid:
         self.directions.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-    @property
-    def resolution(self) -> int:
-        return self.directions.shape[0]
-
 
 def quadrature_grid(d: int, resolution: int) -> QuadratureGrid:
     """Deterministic surface-integration grid for d in {2, 3}.

@@ -266,10 +266,11 @@ class TestSuites:
         assert main(["audit", "--instances", "0"]) == 2
         assert "DegenerateInstance" in capsys.readouterr().err
 
-    def test_audit_d4_names_certified_limit(self, capsys):
-        # was InvalidDimension "resolution must be >= 1, got 0" from the half-resolution solve
-        assert main(["audit", "--d-list", "4", "--instances", "1", "--threads", "1"]) == 2
-        assert "UnsupportedDimension" in capsys.readouterr().err
+    def test_audit_d4_p1_exit_0(self, capsys):
+        # p = 1 only: the p = 2 sqrt(d) check (criterion 4) may fire on correct code
+        assert main(["audit", "--d-list", "4", "--p-list", "1", "--instances", "2",
+                     "--threads", "1"]) == 0
+        assert "violations: 0" in capsys.readouterr().out
 
     def test_rates_without_reps_exit_2(self, capsys):
         # reps=0 crashed with an uncaught StopIteration and exit 1

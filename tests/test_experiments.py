@@ -9,7 +9,6 @@ from otslice import (
     DegenerateInstance,
     DimensionMismatch,
     GeneratorSpec,
-    UnsupportedDimension,
     generate,
     make_discrete,
 )
@@ -196,23 +195,29 @@ class TestInequalityAudit:
             with pytest.raises(DegenerateInstance):
                 ex.inequality_audit(d_list=d_list, p_list=p_list, instances_per_cell=k, seed=0)
 
-    def test_d4_unsupported_by_certified_search(self):
-        # a half-resolution SW solve built quadrature(0) from the Monte Carlo default
-        with pytest.raises(UnsupportedDimension):
-            ex.inequality_audit(d_list=[4], p_list=[1.0], instances_per_cell=1, seed=0)
+    def test_d4_audit_has_no_sandwich_violations(self):
+        # SW at d = 4 takes the Monte Carlo default; maxSW is certified there too
+        report = ex.inequality_audit(d_list=[4], p_list=[1.0, 2.0], instances_per_cell=3, seed=0)
+        assert len(report.cells) == 6
+        assert report.violations_by_kind["sw_le_maxsw"] == 0
+        assert report.violations_by_kind["maxsw_le_w"] == 0
 
 
 class TestCdScan:
     def test_d1_exactly_one(self):
         report = ex.cd_lower_bound_scan(d=1, instances=20, seed=4)
         assert report.lower_bound == pytest.approx(1.0, abs=1e-9)
-        assert report.certified
 
     def test_d2_at_least_one(self):
         report = ex.cd_lower_bound_scan(d=2, instances=25, seed=4)
         assert report.lower_bound >= 1.0 - 1e-9
         assert math.isfinite(report.lower_bound)
-        assert report.certified
+
+    def test_d4_certified_at_least_one(self):
+        report = ex.cd_lower_bound_scan(d=4, instances=4, seed=4)
+        assert report.lower_bound >= 1.0 - 1e-9
+        assert math.isfinite(report.lower_bound)
+        assert report.skipped == 0
 
     def test_needs_instances(self):
         with pytest.raises(DegenerateInstance):
@@ -230,6 +235,16 @@ class TestConvergenceSuite:
         assert report.ordering_violations == 0
         assert report.spearman_w_sw >= 0.9
         assert report.spearman_w_maxsw >= 0.9
+
+    def test_translation_schedule_point_mass_d4(self):
+        target = make_discrete([[0.0, 0.0, 0.0, 0.0]], [1.0])
+        shifts = [1.0 / n for n in (1, 2, 4, 8)]
+        schedule = ex.translation_schedule(target, [1.0, -2.0, 0.5, 1.0], shifts)
+        report = ex.convergence_suite(target, schedule, p=1.0)
+        assert np.allclose(report.w, shifts, atol=1e-12)
+        assert np.all(report.maxsw_lower <= report.maxsw_upper)
+        assert np.allclose(report.maxsw_upper, shifts, atol=1e-3)
+        assert report.ordering_violations == 0
 
     def test_constant_schedule_all_zero(self, rng):
         target = make_discrete(rng.standard_normal((6, 2)))

@@ -10,7 +10,6 @@ from otslice import (
     InvalidOrder,
     InvalidSpec,
     Scheme,
-    UnsupportedDimension,
     direction_ascent,
     make_discrete,
     max_sliced,
@@ -20,6 +19,7 @@ from otslice import (
     projected_cost_gradient,
     projected_distance,
     quadrature_grid,
+    sample_uniform,
     sliced_wasserstein,
     to_measure1d,
     wasserstein_1d,
@@ -284,10 +284,39 @@ class TestCertified:
         with pytest.raises(InvalidOrder):
             max_sliced_certified(mu, nu, 1.0, tol=math.nan)
 
-    def test_unsupported_dimension(self, rng):
-        mu, nu = random_pair(rng, 4, max_atoms=6)
-        with pytest.raises(UnsupportedDimension):
-            max_sliced_certified(mu, nu, 1.0, tol=1e-3)
+    def test_d4_brackets_contain_sampled_maximum(self, rng):
+        dirs = sample_uniform(4, 200_000, seed=4)
+        for p in (1.0, 2.0):
+            for _ in range(2):
+                mu, nu = random_pair(rng, 4, max_atoms=10)
+                res = max_sliced_certified(mu, nu, p, tol=1e-4)
+                bf = float(_distance_batch(mu, nu, p, dirs).max())
+                assert bf <= res.upper + 1e-12 * res.upper
+                assert res.upper - res.lower <= 1e-4
+                assert res.lower == projected_distance(mu, nu, p, res.v_star)
+
+    def test_level_chunks_change_nothing(self, rng, monkeypatch):
+        # a cap of three boxes splits every level after the first into chunks
+        for p in (1.0, 2.0, 1.5):
+            mu, nu = random_pair(rng, 3, max_atoms=10)
+            whole = max_sliced_certified(mu, nu, p, tol=1e-4)
+            with monkeypatch.context() as m:
+                m.setattr(maxsliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n) * 3)
+                split = max_sliced_certified(mu, nu, p, tol=1e-4)
+            assert whole.evaluations > 12
+            assert (split.lower, split.upper, split.evaluations) == (
+                whole.lower, whole.upper, whole.evaluations
+            )
+            assert np.array_equal(split.v_star, whole.v_star)
+
+    def test_budget_exceeded_at_d5(self, rng):
+        mu, nu = random_pair(rng, 5, max_atoms=10)
+        with pytest.raises(BudgetExceeded) as exc_info:
+            max_sliced_certified(mu, nu, 1.0, tol=1e-6, eval_budget=500)
+        partial = exc_info.value.result
+        assert partial.v_star.shape == (5,)
+        assert 5 <= partial.evaluations <= 500
+        assert partial.lower <= partial.upper
 
     def test_budget_exceeded_carries_partial(self, rng):
         mu, nu = random_pair(rng, 3, max_atoms=10)

@@ -12,13 +12,13 @@ CAPS = 48  # sampled directions per cap, half of them on its rim
 
 @st.composite
 def lattice_pairs(draw):
-    """Two clouds on a half-integer lattice in d = 2 or 3.
+    """Two clouds on a half-integer lattice in d = 2, 3 or 4.
 
     Lattice atoms tie along the axes and repeat; integer weights that may be 0
     give zero-weight atoms; n = 1 is allowed. Some pairs are equal-size and
     uniform, which takes the argsort pairing instead of the weighted merge.
     """
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([2, 3, 4]))
     uniform = draw(st.booleans())
     n = draw(st.integers(1, 7))
     m = n if uniform else draw(st.integers(1, 7))

@@ -14,6 +14,7 @@ from otslice import (
     to_measure1d,
     wasserstein_1d,
 )
+from otslice import sliced
 from conftest import random_measure, random_pair
 
 
@@ -53,6 +54,18 @@ class TestSlicedBasics:
             assert un.value == pytest.approx(
                 no.value * surface_area(2) ** (1.0 / p), rel=1e-12
             )
+
+    def test_direction_chunks_change_nothing(self, rng, monkeypatch):
+        # an equal-size uniform pair and a weighted one; a cap of 100 rows
+        # splits 1000 directions into 10 chunks
+        uniform = tuple(make_discrete(rng.standard_normal((9, 3))) for _ in range(2))
+        for mu, nu in (uniform, random_pair(rng, 3, max_atoms=12)):
+            for scheme in (Scheme.quadrature(1000), Scheme.monte_carlo(1000, seed=2)):
+                whole = sliced_wasserstein(mu, nu, 1.5, scheme)
+                monkeypatch.setattr(sliced, "CHUNK_ELEMENTS", 100 * (mu.n + nu.n))
+                split = sliced_wasserstein(mu, nu, 1.5, scheme)
+                monkeypatch.undo()
+                assert (split.value, split.stderr) == (whole.value, whole.stderr)
 
     def test_d1_exact(self, rng):
         mu = random_measure(rng, 1)
