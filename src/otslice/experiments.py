@@ -32,7 +32,7 @@ from scipy import stats as _scipy_stats
 
 from .errors import DegenerateInstance, DimensionMismatch
 from .measures import DiscreteMeasure, GeneratorSpec, generate, make_discrete, rng_stream
-from .maxsliced import max_sliced, max_sliced_certified
+from .maxsliced import _check_starts, max_sliced, max_sliced_certified
 from .ot_exact import wasserstein_exact
 from .sliced import Scheme, default_scheme, sliced_wasserstein
 from .sphere import as_unit
@@ -137,7 +137,7 @@ def rate_experiment(
 
     Returns (records, fits) with one record per (n, replication, estimator)
     and one log-log slope fit per estimator. ``n_list`` must hold at least 4
-    strictly ascending sizes; that is checked before the first solve.
+    strictly ascending sizes and ``maxsw_starts`` >= 1, both checked before any solve.
     """
     if d < 2:
         raise DimensionMismatch(f"rate experiments need d >= 2, got {d}")
@@ -148,6 +148,7 @@ def rate_experiment(
         raise ValueError("rate fits need at least 4 distinct n values")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_starts(maxsw_starts)
     scheme = sw_scheme if sw_scheme is not None else default_scheme(d)
     cube = GeneratorSpec.uniform_cube(d)
 

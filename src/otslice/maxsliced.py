@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder, InvalidSpec
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
 from .ot1d import _equal_uniform, _monotone_rows, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, wasserstein_exact
-from .sliced import CHUNK_ELEMENTS, _projected_powers
+from .sliced import CHUNK_ELEMENTS, _projected_powers, _projections
 from .sphere import as_unit, project
 
 
@@ -42,8 +42,8 @@ class DirectionResult:
     bound on the max-sliced distance); ``upper`` equals ``lower`` in
     heuristic mode and is a certified global upper bound in certified mode.
     ``evaluations`` counts projected distances: in heuristic mode one per
-    ascent start plus every candidate of every backtracking ladder, in
-    certified mode one per patch center.
+    ascent start plus the ladder candidates evaluated (2 per iteration, 26
+    when neither of those improves), in certified mode one per patch center.
     """
 
     v_star: np.ndarray
@@ -54,7 +54,7 @@ class DirectionResult:
 
 
 def _pairings(mu, nu, dirs: np.ndarray):
-    """Projections onto the rows of ``dirs`` and one monotone pairing per row.
+    """Row-major projections onto the rows of ``dirs`` and one monotone pairing per row.
 
     Returns ``(pa, pb, mass, i, j)``: row r pairs atom ``i[r, k]`` of mu with
     atom ``j[r, k]`` of nu with mass ``mass[r, k]``. Equal-size uniform
@@ -62,7 +62,7 @@ def _pairings(mu, nu, dirs: np.ndarray):
     pairs go through :func:`_monotone_rows`, whose rows may hold segments of
     zero mass.
     """
-    pa, pb = (mu.points @ dirs.T).T, (nu.points @ dirs.T).T
+    pa, pb = _projections(mu, dirs), _projections(nu, dirs)
     if _equal_uniform(mu.weights, nu.weights):
         i = np.argsort(pa, axis=1, kind="stable")
         j = np.argsort(pb, axis=1, kind="stable")
@@ -100,11 +100,12 @@ def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, 
 def _ascent(mu, nu, p, v0, max_iters):
     """Backtracking subgradient ascent; returns (best v, best W_p^p, evals).
 
-    Each iteration evaluates its whole ladder in one batch: the normalized
-    gradient (the eta -> inf limit of the update), then the steps
-    v + eta0 2^-k tangent, normalized, for k = 0..24. It moves to the first
-    candidate in that order that improves, as a serial first-improvement
-    search would. ``evals`` counts every candidate evaluated.
+    Each iteration's ladder is the normalized gradient (the eta -> inf limit),
+    then v + eta0 2^-k tangent, normalized, for k = 0..24. Candidates 0-1 go
+    in one batch (never one row alone: a one-row product takes another BLAS
+    kernel and may round differently), 2-25 in a second only if neither
+    improves. The step is the first improving candidate in ladder order, as
+    in a serial search. ``evals`` counts the start and each candidate evaluated.
     """
     L = moment_p(mu, p) + moment_p(nu, p)
     etas = (0.5 / max(L, 1e-300)) * 0.5 ** np.arange(25.0)
@@ -120,14 +121,22 @@ def _ascent(mu, nu, p, v0, max_iters):
         if float(np.linalg.norm(tangent)) > 0.0:
             steps = v + etas[:, None] * tangent
             ladder = np.vstack([ladder, steps / np.linalg.norm(steps, axis=1, keepdims=True)])
-        vals = _projected_powers(mu, nu, p, ladder)
-        evals += ladder.shape[0]
-        better = np.flatnonzero(vals > val + 1e-14 * (1.0 + abs(val)))
+        bar = val + 1e-14 * (1.0 + abs(val))
+        vals = _projected_powers(mu, nu, p, ladder[:2])
+        if not np.any(vals > bar) and ladder.shape[0] > 2:
+            vals = np.concatenate([vals, _projected_powers(mu, nu, p, ladder[2:])])
+        evals += vals.size
+        better = np.flatnonzero(vals > bar)
         if not better.size:
             break
         v, val = ladder[better[0]], float(vals[better[0]])
         _, grad = projected_cost_gradient(mu, nu, p, v)
     return v, val, evals
+
+
+def _check_starts(starts: int) -> None:
+    if starts < 1:
+        raise InvalidOrder(f"starts must be >= 1, got {starts}")
 
 
 def direction_ascent(
@@ -156,14 +165,12 @@ def max_sliced(
 ) -> DirectionResult:
     """Best of ``starts`` ascent runs plus the 2d signed axis directions.
 
-    ``evaluations`` counts one projected distance per start and every
-    candidate of every ascent iteration: each iteration evaluates its whole
-    ladder (up to 26 directions) in one batch, even when the first one
-    improves.
+    ``evaluations`` counts one projected distance per start and the ladder
+    candidates each ascent iteration evaluated: the first 2 of its (up to
+    26) directions, plus the other 24 when neither of those improves.
     """
     _check_pair(mu, nu, p)
-    if starts < 1:
-        raise InvalidOrder(f"starts must be >= 1, got {starts}")
+    _check_starts(starts)
     d = mu.dim
     if d == 1:
         v = np.array([1.0])

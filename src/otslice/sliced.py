@@ -78,15 +78,20 @@ class SlicedEstimate:
 CHUNK_ELEMENTS = 1 << 20
 
 
+def _projections(measure: DiscreteMeasure, directions: np.ndarray) -> np.ndarray:
+    """(R, n) projections, row-major so that row sorts read contiguous memory."""
+    return directions @ measure.points.T
+
+
 def _projected_powers(mu, nu, p, directions) -> np.ndarray:
     """Exact W_p^p between the projections of mu and nu along each row of ``directions``.
 
-    Rows go through in chunks of about ``CHUNK_ELEMENTS / (n + m)``.
+    Rows go through in chunks of about ``CHUNK_ELEMENTS / (n + m)``, projected row-major.
     """
     rows = max(1, CHUNK_ELEMENTS // (mu.n + nu.n))
     chunks = [directions[s:s + rows] for s in range(0, max(1, directions.shape[0]), rows)]
     return np.concatenate([
-        wasserstein_pp_batch((mu.points @ c.T).T, (nu.points @ c.T).T, mu.weights, nu.weights, p)
+        wasserstein_pp_batch(_projections(mu, c), _projections(nu, c), mu.weights, nu.weights, p)
         for c in chunks
     ])
 

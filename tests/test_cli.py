@@ -149,6 +149,18 @@ class TestDist:
                      "--tol", "nan"]) == 2
         assert "InvalidOrder" in capsys.readouterr().err
 
+    def test_zero_starts_rejected_before_solving(self, pair_files, monkeypatch, capsys):
+        # max_sliced raised InvalidOrder only after W and SW had been solved
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved before checking --starts")
+
+        monkeypatch.setattr(cli, "wasserstein_exact", no_solve)
+        monkeypatch.setattr(cli, "sliced_wasserstein", no_solve)
+        a, b = pair_files
+        for metric in ("all", "maxsw"):
+            assert main(["dist", str(a), str(b), "--metric", metric, "--starts", "0"]) == 2
+            assert "InvalidOrder: starts must be >= 1" in capsys.readouterr().err
+
     def test_plan_dump(self, pair_files, tmp_path):
         a, b = pair_files
         plan_path = tmp_path / "plan.csv"

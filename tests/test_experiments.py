@@ -9,6 +9,7 @@ from otslice import (
     DegenerateInstance,
     DimensionMismatch,
     GeneratorSpec,
+    InvalidOrder,
     generate,
     make_discrete,
 )
@@ -132,6 +133,17 @@ class TestRateExperiment:
         for n_list in ([8, 16, 32], [64]):
             with pytest.raises(ValueError, match="at least 4"):
                 ex.rate_experiment(d=3, n_list=n_list, reps=2, seed=1)
+
+    def test_zero_starts_rejected_before_solving(self, monkeypatch):
+        # max_sliced raised only after the first cell's W and SW were solved
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved a cell before checking maxsw_starts")
+
+        monkeypatch.setattr(ex, "wasserstein_exact", no_solve)
+        for starts in (0, -1):
+            with pytest.raises(InvalidOrder, match="starts"):
+                ex.rate_experiment(d=3, n_list=[8, 16, 24, 32], reps=1, seed=1,
+                                   maxsw_starts=starts)
 
     def test_persistence_roundtrip(self, tmp_path):
         records, _ = ex.rate_experiment(d=2, n_list=[8, 16, 24, 32], reps=2, seed=7)

@@ -66,14 +66,15 @@ class TestAscent:
 def serial_ascent(mu, nu, p, v0, max_iters=100):
     """First-improvement reference: try each ladder candidate in turn, stop at the first gain.
 
-    Returns the accepted directions, the final W_p^p and the ladder sizes summed
-    (every candidate a batch evaluates, plus the start).
+    Returns the accepted directions, their ladder indices, the final W_p^p and the
+    count of candidates the staged batches evaluate, plus the start: candidates
+    0-1 of each ladder, and all of it when neither of those improves.
     """
     L = moment_p(mu, p) + moment_p(nu, p)
     eta0 = 0.5 / max(L, 1e-300)
     v = v0 / np.linalg.norm(v0)
     val, grad = projected_cost_gradient(mu, nu, p, v)
-    accepted, ladder_total = [], 1
+    accepted, hits, ladder_total = [], [], 1
     for _ in range(max_iters):
         tangent = grad - float(grad @ v) * v
         candidates = []
@@ -85,16 +86,19 @@ def serial_ascent(mu, nu, p, v0, max_iters=100):
                 w = v + eta * tangent
                 candidates.append(w / np.linalg.norm(w))
                 eta *= 0.5
-        ladder_total += len(candidates)
-        for cand in candidates:
+        hit = None
+        for k, cand in enumerate(candidates):
             cval, cgrad = projected_cost_gradient(mu, nu, p, cand)
             if cval > val + 1e-14 * (1.0 + abs(val)):
-                v, val, grad = cand, cval, cgrad
-                accepted.append(v)
+                hit = k
                 break
-        else:
+        ladder_total += len(candidates) if hit is None or hit >= 2 else min(2, len(candidates))
+        if hit is None:
             break
-    return accepted, val, ladder_total
+        v, val, grad = candidates[hit], cval, cgrad
+        accepted.append(v)
+        hits.append(hit)
+    return accepted, hits, val, ladder_total
 
 
 class TestAscentLadder:
@@ -120,12 +124,13 @@ class TestAscentLadder:
             return original(mu, nu, p, v)
 
         monkeypatch.setattr(maxsliced, "projected_cost_gradient", recording)
-        runs = 0
+        runs, all_hits = 0, []
         for mu, nu in self.pairs(rng):
             d = mu.dim
             for p in (1.0, 1.5, 2.0):
                 for v0 in (np.eye(d)[0], rng.standard_normal(d)):
-                    accepted, ref_val, ladder_total = serial_ascent(mu, nu, p, v0)
+                    accepted, hits, ref_val, ladder_total = serial_ascent(mu, nu, p, v0)
+                    all_hits.extend(hits)
                     gradients_at.clear()
                     _, val, evals = _ascent(mu, nu, p, v0, max_iters=100)
                     # the batch takes one gradient at the start and one per accepted step
@@ -137,6 +142,20 @@ class TestAscentLadder:
                     assert evals == ladder_total
                     runs += 1
         assert runs == 12 * 3 * 2
+        # steps were accepted from both batches: candidates 0-1 and candidates 2-25
+        assert min(all_hits) < 2 <= max(all_hits)
+
+    def test_one_candidate_ladder(self):
+        # v0 along the gap of two point masses: the tangent is exactly 0, the
+        # ladder holds only the normalized gradient, which equals v0
+        a, b = point_mass((1.0, -2.0)), point_mass((1.0, 2.5))
+        for p in (1.0, 2.0):
+            for v0 in (np.array([0.0, 1.0]), np.array([0.0, -1.0])):
+                v, val, evals = _ascent(a, b, p, v0, max_iters=100)
+                assert evals == 2
+                assert np.array_equal(v, v0)
+                assert val == 4.5**p
+                assert direction_ascent(a, b, p, v0, max_iters=100)[1] == 4.5
 
 
 class TestGradient:

@@ -1,4 +1,4 @@
-"""Property test of the certified search's cap bounds (needs the optional ``hypothesis`` test extra)."""
+"""Property tests of the certified search's cap bounds (need the optional ``hypothesis`` test extra)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from otslice import make_discrete, moment_p
 from otslice.maxsliced import _distance_batch, _patch_bounds
+from otslice.ot1d import _equal_uniform
 
 CAPS = 48  # sampled directions per cap, half of them on its rim
 
@@ -83,3 +84,22 @@ class TestCapBounds:
         for c in (np.zeros(d), pooled):
             moments = moment_p(shifted(mu, c), p) + moment_p(shifted(nu, c), p)
             assert np.all(ub <= (f + steps * moments) * (1.0 + 1e-12))
+
+
+class TestProjectionPaths:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=lattice_pairs(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           scale=st.sampled_from([1.0, 1e-9, 1e8]), seed=st.integers(0, 2**32 - 1))
+    def test_center_values_equal_distance_batch(self, pair, p, scale, seed):
+        # the pairing path and the distance path project alike, so a center's
+        # value is bit-equal whichever computes it; equal-size uniform pairs
+        # differ only in weighting the same sorted gaps, sum(gap / n) against
+        # mean(gap), which rounds apart by at most about n ulps
+        mu, nu = scaled(pair[0], scale), scaled(pair[1], scale)
+        centers, _ = centers_and_caps(mu.dim, 0.1, np.random.default_rng(seed))
+        f, _ = _patch_bounds(mu, nu, p, centers, np.full(centers.shape[0], 0.1))
+        values = _distance_batch(mu, nu, p, centers)
+        if _equal_uniform(mu.weights, nu.weights):
+            assert np.allclose(f, values, rtol=(mu.n + 2) * np.finfo(float).eps, atol=0.0)
+        else:
+            assert np.array_equal(f, values)
