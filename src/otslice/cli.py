@@ -23,7 +23,7 @@ from .errors import (
     SolverFailure,
 )
 from .measures import load_measure
-from .maxsliced import _check_starts, max_sliced, max_sliced_certified
+from .maxsliced import _check_starts, _check_tol, max_sliced, max_sliced_certified
 from .ot_exact import _certificate, _exact, dual_potentials_w1, wasserstein_exact
 from .sliced import Scheme, default_scheme, sliced_wasserstein
 from .sphere import surface_area
@@ -108,8 +108,10 @@ def _dump_plan(path, plan, header: dict) -> None:
 
 def cmd_dist(args) -> int:
     wanted = ("w", "sw", "maxsw") if args.metric == "all" else (args.metric,)
-    if "maxsw" in wanted and not args.certified:
-        _check_starts(args.starts)  # before any solve
+    if "maxsw" in wanted and args.certified:
+        _check_tol(args.tol)  # before any file is loaded or solve runs
+    elif "maxsw" in wanted:
+        _check_starts(args.starts)
     mu = load_measure(args.file_a)
     nu = load_measure(args.file_b)
     if mu.dim != nu.dim:

@@ -38,9 +38,9 @@ from .sphere import as_unit, project
 class DirectionResult:
     """A direction with its projected distance and an enclosure bracket.
 
-    ``lower`` is the exact projected distance at ``v_star`` (a valid lower
-    bound on the max-sliced distance); ``upper`` equals ``lower`` in
-    heuristic mode and is a certified global upper bound in certified mode.
+    ``lower`` is the exact projected distance the search computed at ``v_star``
+    (a valid lower bound on the max-sliced distance); ``upper`` equals ``lower``
+    in heuristic mode and is a certified global upper bound in certified mode.
     ``evaluations`` counts projected distances: in heuristic mode one per
     ascent start plus the ladder candidates evaluated (2 per iteration, 26
     when neither of those improves), in certified mode one per patch center.
@@ -53,23 +53,28 @@ class DirectionResult:
     mode: str
 
 
-def _pairings(mu, nu, dirs: np.ndarray):
-    """Row-major projections onto the rows of ``dirs`` and one monotone pairing per row.
+def _pairings(mu, nu, p, dirs: np.ndarray):
+    """W_p^p along each row of ``dirs`` and the monotone pairing that gives it.
 
-    Returns ``(pa, pb, mass, i, j)``: row r pairs atom ``i[r, k]`` of mu with
-    atom ``j[r, k]`` of nu with mass ``mass[r, k]``. Equal-size uniform
-    measures pair their stably sorted atoms one to one with mass 1/n; other
-    pairs go through :func:`_monotone_rows`, whose rows may hold segments of
-    zero mass.
+    Returns ``(value, t, mass, i, j)``: row r pairs atom ``i[r, k]`` of mu with
+    atom ``j[r, k]`` of nu with mass ``mass[r, k]`` across the projected gap
+    ``t[r, k]``. Equal-size uniform measures pair their stably sorted atoms one
+    to one with mass 1/n and ``value`` is the mean of |t|^p; other pairs go
+    through :func:`_monotone_rows` (rows may hold segments of zero mass) and
+    ``value`` is sum mass |t|^p: the bits :func:`wasserstein_pp_batch` gives.
     """
     pa, pb = _projections(mu, dirs), _projections(nu, dirs)
-    if _equal_uniform(mu.weights, nu.weights):
+    uniform = _equal_uniform(mu.weights, nu.weights)
+    if uniform:
         i = np.argsort(pa, axis=1, kind="stable")
         j = np.argsort(pb, axis=1, kind="stable")
         mass = np.full(pa.shape, 1.0 / pa.shape[1])
     else:
         mass, i, j = _monotone_rows(pa, pb, mu.weights, nu.weights)
-    return pa, pb, mass, i, j
+    t = np.take_along_axis(pa, i, axis=1) - np.take_along_axis(pb, j, axis=1)
+    cost = np.abs(t) ** p
+    value = np.mean(cost, axis=1) if uniform else np.sum(mass * cost, axis=1)
+    return value, t, mass, i, j
 
 
 def projected_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v) -> float:
@@ -87,14 +92,12 @@ def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, 
     choice among several.
     """
     v = np.asarray(v, dtype=float)
-    pa, pb, mass, i, j = (a[0] for a in _pairings(mu, nu, v[None]))
+    value, t, mass, i, j = (a[0] for a in _pairings(mu, nu, p, v[None]))
     keep = mass > 0.0
-    mass, i, j = mass[keep], i[keep], j[keep]
-    gap = pa[i] - pb[j]
-    value = float(np.sum(mass * np.abs(gap) ** p))
+    gap, mass, i, j = t[keep], mass[keep], i[keep], j[keep]
     coeff = mass * p * np.abs(gap) ** (p - 1.0) * np.sign(gap)
     grad = coeff @ (mu.points[i] - nu.points[j])
-    return value, grad
+    return float(value), grad
 
 
 def _ascent(mu, nu, p, v0, max_iters):
@@ -139,6 +142,11 @@ def _check_starts(starts: int) -> None:
         raise InvalidOrder(f"starts must be >= 1, got {starts}")
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # NaN fails too
+        raise InvalidOrder(f"tol must be positive, got {tol}")
+
+
 def direction_ascent(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -149,11 +157,11 @@ def direction_ascent(
     """Local search from v0; returns (direction, exact projected distance).
 
     The objective is nondecreasing over accepted steps; the returned value
-    is re-evaluated through the exact quantile path.
+    is the p-th root of the W_p^p the ascent computed at the direction.
     """
     _check_pair(mu, nu, p)
-    v, _, _ = _ascent(mu, nu, p, v0, max_iters)
-    return v, projected_distance(mu, nu, p, v)
+    v, val, _ = _ascent(mu, nu, p, v0, max_iters)
+    return v, val ** (1.0 / p)
 
 
 def max_sliced(
@@ -163,11 +171,13 @@ def max_sliced(
     starts: int = 8,
     seed: int = 0,
 ) -> DirectionResult:
-    """Best of ``starts`` ascent runs plus the 2d signed axis directions.
+    """Best of ``starts`` ascent runs plus the d axis directions.
 
-    ``evaluations`` counts one projected distance per start and the ladder
-    candidates each ascent iteration evaluated: the first 2 of its (up to
-    26) directions, plus the other 24 when neither of those improves.
+    The objective is even in v, so -e_k would retrace e_k. ``lower`` is the
+    best W_p^p an ascent computed, to the power 1/p. ``evaluations`` counts
+    one projected distance per start and the ladder candidates each ascent
+    iteration evaluated: the first 2 of its (up to 26) directions, plus the
+    other 24 when neither of those improves.
     """
     _check_pair(mu, nu, p)
     _check_starts(starts)
@@ -177,11 +187,8 @@ def max_sliced(
         w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
         return DirectionResult(v_star=v, lower=w, upper=w, evaluations=1, mode="heuristic")
 
-    rng = rng_stream(seed, 0xA5)
-    inits = list(np.eye(d)) + list(-np.eye(d))
-    raw = rng.standard_normal((starts, d))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    inits.extend(raw)
+    raw = rng_stream(seed, 0xA5).standard_normal((starts, d))
+    inits = np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
 
     best_v, best_val, evals = None, -1.0, 0
     for v0 in inits:
@@ -189,7 +196,7 @@ def max_sliced(
         evals += used
         if val > best_val:
             best_v, best_val = v, val
-    lower = projected_distance(mu, nu, p, best_v)
+    lower = best_val ** (1.0 / p)
     return DirectionResult(
         v_star=best_v, lower=lower, upper=lower, evaluations=evals, mode="heuristic"
     )
@@ -244,11 +251,6 @@ class _CouplingBound:
         return (np.abs(dirs @ self.z.T) ** self.p @ self.gamma) ** (1.0 / self.p)
 
 
-def _distance_batch(mu, nu, p, dirs: np.ndarray) -> np.ndarray:
-    """Exact projected distances along each row of ``dirs``."""
-    return _projected_powers(mu, nu, p, dirs) ** (1.0 / p)
-
-
 def _patch_bounds(mu, nu, p, centers, steps):
     """Exact center distances and certified cap bounds for each patch.
 
@@ -262,11 +264,9 @@ def _patch_bounds(mu, nu, p, centers, steps):
     vanishes at a smooth maximizer, and the resulting bound never exceeds
     f + step * dc.
     """
-    pa, pb, mass, i, j = _pairings(mu, nu, centers)
-    t = np.take_along_axis(pa, i, axis=1) - np.take_along_axis(pb, j, axis=1)
+    f_pp, t, mass, i, j = _pairings(mu, nu, p, centers)
     diff = mu.points[i] - nu.points[j]
     znorm = np.linalg.norm(diff, axis=2)
-    f_pp = np.sum(mass * np.abs(t) ** p, axis=1)
     f = f_pp ** (1.0 / p)
 
     if p == 1:
@@ -332,9 +332,9 @@ def max_sliced_certified(
     bounds the chord from the center to the box): the center pairing's
     bound from ``_patch_bounds`` and the pushed-optimal-coupling estimate
     h(center) + W_p * step. Children inherit it from their parent. The
-    lower bound is the best exactly evaluated center. Works at every d
-    (d = 1 is the trivial two-point sphere); the work grows steeply with d,
-    and ``eval_budget`` bounds it.
+    lower bound is the best center's exact value as ``_patch_bounds``
+    computed it. Works at every d (d = 1 is the trivial two-point sphere);
+    the work grows steeply with d, and ``eval_budget`` bounds it.
 
     ``plan`` is an optimal plan of (mu, nu) for order p that the caller has
     already solved (``wasserstein_exact``); it feeds the coupling bound in
@@ -349,8 +349,7 @@ def max_sliced_certified(
     :class:`BudgetExceeded` is raised with the best bracket attached.
     """
     _check_pair(mu, nu, p)
-    if not tol > 0:  # NaN fails too
-        raise InvalidOrder(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     d = mu.dim
     if d == 1:
         v = np.array([1.0])
@@ -391,7 +390,7 @@ def max_sliced_certified(
         if evals + 4 * int(np.count_nonzero(keep)) > eval_budget:
             partial = DirectionResult(
                 v_star=best_v,
-                lower=projected_distance(mu, nu, p, best_v),
+                lower=best_lower,
                 upper=max(float(np.max(uppers[keep])), pruned_ceiling, best_lower),
                 evaluations=evals,
                 mode="certified",
@@ -405,12 +404,10 @@ def max_sliced_certified(
     else:
         raise SolverFailure("certified search failed to converge in 200 levels")
 
-    lower = projected_distance(mu, nu, p, best_v)
-    upper = max(pruned_ceiling, lower)
     return DirectionResult(
         v_star=best_v,
-        lower=lower,
-        upper=upper,
+        lower=best_lower,
+        upper=max(pruned_ceiling, best_lower),
         evaluations=evals,
         mode="certified",
     )

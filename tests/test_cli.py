@@ -161,6 +161,20 @@ class TestDist:
             assert main(["dist", str(a), str(b), "--metric", metric, "--starts", "0"]) == 2
             assert "InvalidOrder: starts must be >= 1" in capsys.readouterr().err
 
+    def test_non_positive_tol_rejected_before_loading(self, pair_files, monkeypatch, capsys):
+        # --certified --tol 0 used to load both files and solve W and SW first
+        def no_call(*args, **kwargs):
+            pytest.fail("loaded or solved before checking --tol")
+
+        for name in ("load_measure", "wasserstein_exact", "sliced_wasserstein"):
+            monkeypatch.setattr(cli, name, no_call)
+        a, b = pair_files
+        for tol in ("0", "-1e-3", "nan"):
+            for metric in ("all", "maxsw"):
+                assert main(["dist", str(a), str(b), "--metric", metric, "--certified",
+                             f"--tol={tol}"]) == 2
+                assert "InvalidOrder: tol must be positive" in capsys.readouterr().err
+
     def test_plan_dump(self, pair_files, tmp_path):
         a, b = pair_files
         plan_path = tmp_path / "plan.csv"

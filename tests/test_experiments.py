@@ -8,8 +8,8 @@ from scipy import stats
 from otslice import (
     DegenerateInstance,
     DimensionMismatch,
+    DirectionResult,
     GeneratorSpec,
-    InvalidOrder,
     generate,
     make_discrete,
 )
@@ -134,17 +134,6 @@ class TestRateExperiment:
             with pytest.raises(ValueError, match="at least 4"):
                 ex.rate_experiment(d=3, n_list=n_list, reps=2, seed=1)
 
-    def test_zero_starts_rejected_before_solving(self, monkeypatch):
-        # max_sliced raised only after the first cell's W and SW were solved
-        def no_solve(*args, **kwargs):
-            pytest.fail("solved a cell before checking maxsw_starts")
-
-        monkeypatch.setattr(ex, "wasserstein_exact", no_solve)
-        for starts in (0, -1):
-            with pytest.raises(InvalidOrder, match="starts"):
-                ex.rate_experiment(d=3, n_list=[8, 16, 24, 32], reps=1, seed=1,
-                                   maxsw_starts=starts)
-
     def test_persistence_roundtrip(self, tmp_path):
         records, _ = ex.rate_experiment(d=2, n_list=[8, 16, 24, 32], reps=2, seed=7)
         path = tmp_path / "records.jsonl"
@@ -257,6 +246,20 @@ class TestConvergenceSuite:
         assert np.all(report.maxsw_lower <= report.maxsw_upper)
         assert np.allclose(report.maxsw_upper, shifts, atol=1e-3)
         assert report.ordering_violations == 0
+
+    def test_sw_above_upper_counted_within_tol(self, monkeypatch):
+        # SW is a mean of exact projected values, so it can never exceed a
+        # certified upper: 1e-4 above one is a violation, though below maxsw_tol
+        def low_upper(mu, nu, p, tol, plan=None):
+            sw = ex.sliced_wasserstein(mu, nu, p, normalized=True).value
+            return DirectionResult(v_star=np.array([1.0, 0.0]), lower=0.0, upper=sw - 1e-4,
+                                   evaluations=1, mode="certified")
+
+        monkeypatch.setattr(ex, "max_sliced_certified", low_upper)
+        target = make_discrete([[0.0, 0.0]], [1.0])
+        schedule = ex.translation_schedule(target, [1.0, 0.0], [1.0, 0.5, 0.25])
+        report = ex.convergence_suite(target, schedule, p=1.0, maxsw_tol=1e-3)
+        assert report.ordering_violations == 3
 
     def test_constant_schedule_all_zero(self, rng):
         target = make_discrete(rng.standard_normal((6, 2)))

@@ -27,7 +27,8 @@ from otslice import (
 )
 from otslice import experiments, maxsliced
 from otslice.measures import rng_stream
-from otslice.maxsliced import _ascent, _box_geometry, _distance_batch, _halve, _patch_bounds
+from otslice.maxsliced import _ascent, _box_geometry, _halve, _patch_bounds
+from otslice.sliced import _projected_powers
 from conftest import random_measure, random_pair
 
 
@@ -38,7 +39,7 @@ def point_mass(x):
 def grid_max(mu, nu, p, count=100_000):
     theta = np.linspace(0.0, math.pi, count, endpoint=False)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    return float(_distance_batch(mu, nu, p, dirs).max())
+    return float((_projected_powers(mu, nu, p, dirs) ** (1 / p)).max())
 
 
 class TestAscent:
@@ -157,6 +158,26 @@ class TestAscentLadder:
                 assert val == 4.5**p
                 assert direction_ascent(a, b, p, v0, max_iters=100)[1] == 4.5
 
+    def test_negated_axis_start_mirrors_the_run(self, rng):
+        # W_p(mu_v, nu_v) is even in v, so in exact arithmetic the ascent from
+        # -e_k is the one from e_k negated; max_sliced starts from e_k alone.
+        # Rounding differs (the sums run in reverse order), so the runs agree
+        # closely, not bitwise; ascents that creep for hundreds of steps along
+        # a ridge drift further apart (values up to 3e-10 apart on 20-atom pairs)
+        for k in range(12):
+            d = 2 + k % 2
+            if k % 3 == 1:
+                n = int(rng.integers(2, 11))
+                mu, nu = (make_discrete(rng.standard_normal((n, d))) for _ in range(2))
+            else:
+                mu, nu = random_pair(rng, d, max_atoms=10, weighted=k % 3 == 0)
+            for p in (1.0, 1.5, 2.0):
+                for e in np.eye(d):
+                    v, val, _ = _ascent(mu, nu, p, e, max_iters=100)
+                    w, wval, _ = _ascent(mu, nu, p, -e, max_iters=100)
+                    assert np.allclose(w, -v, rtol=0.0, atol=1e-10)
+                    assert wval == pytest.approx(val, rel=1e-12, abs=0.0)
+
 
 class TestGradient:
     def test_matches_central_differences(self, rng):
@@ -255,7 +276,7 @@ class TestCertified:
             for _ in range(4):
                 mu, nu = random_pair(rng, 3, max_atoms=10)
                 res = max_sliced_certified(mu, nu, p, tol=1e-5)
-                bf = float(_distance_batch(mu, nu, p, dirs).max())
+                bf = float((_projected_powers(mu, nu, p, dirs) ** (1 / p)).max())
                 L = moment_p(mu, p) + moment_p(nu, p)
                 # the grid misses v_star (or -v_star) by at most this chord
                 v = res.v_star
@@ -309,7 +330,7 @@ class TestCertified:
             for _ in range(2):
                 mu, nu = random_pair(rng, 4, max_atoms=10)
                 res = max_sliced_certified(mu, nu, p, tol=1e-4)
-                bf = float(_distance_batch(mu, nu, p, dirs).max())
+                bf = float((_projected_powers(mu, nu, p, dirs) ** (1 / p)).max())
                 assert bf <= res.upper + 1e-12 * res.upper
                 assert res.upper - res.lower <= 1e-4
                 assert res.lower == projected_distance(mu, nu, p, res.v_star)
@@ -446,7 +467,7 @@ class TestPatchBounds:
                 steps = rng.uniform(0.0, 0.2, 50)
                 for p in (1.0, 1.5, 2.0):
                     f, ub = _patch_bounds(mu, nu, p, centers, steps)
-                    assert np.array_equal(f, _distance_batch(mu, nu, p, centers))
+                    assert np.array_equal(f, _projected_powers(mu, nu, p, centers) ** (1 / p))
                     assert np.all(ub >= f)
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otslice import make_discrete, moment_p
-from otslice.maxsliced import _distance_batch, _patch_bounds
-from otslice.ot1d import _equal_uniform
+from otslice.maxsliced import _patch_bounds
+from otslice.sliced import _projected_powers
 
 CAPS = 48  # sampled directions per cap, half of them on its rim
 
@@ -74,7 +74,8 @@ class TestCapBounds:
         # every direction in a cap stays below its bound; the span term covers
         # projection rounding (one atom projected in two differently shaped
         # batches can differ by an ulp of its norm) where the bound is 0
-        values = _distance_batch(mu, nu, p, dirs.reshape(-1, d)).reshape(dirs.shape[:2])
+        powers = _projected_powers(mu, nu, p, dirs.reshape(-1, d))
+        values = (powers ** (1 / p)).reshape(dirs.shape[:2])
         span = np.max(np.linalg.norm(mu.points[:, None] - nu.points[None], axis=2))
         assert np.all(values <= ub[:, None] + 1e-12 * (ub[:, None] + span))
 
@@ -91,15 +92,10 @@ class TestProjectionPaths:
     @given(pair=lattice_pairs(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
            scale=st.sampled_from([1.0, 1e-9, 1e8]), seed=st.integers(0, 2**32 - 1))
     def test_center_values_equal_distance_batch(self, pair, p, scale, seed):
-        # the pairing path and the distance path project alike, so a center's
-        # value is bit-equal whichever computes it; equal-size uniform pairs
-        # differ only in weighting the same sorted gaps, sum(gap / n) against
-        # mean(gap), which rounds apart by at most about n ulps
+        # the pairing path and the distance path project alike and sum the
+        # same gaps alike (the mean for equal-size uniform pairs, sum mass
+        # |t|^p otherwise), so a center's value is bit-equal whichever computes it
         mu, nu = scaled(pair[0], scale), scaled(pair[1], scale)
         centers, _ = centers_and_caps(mu.dim, 0.1, np.random.default_rng(seed))
         f, _ = _patch_bounds(mu, nu, p, centers, np.full(centers.shape[0], 0.1))
-        values = _distance_batch(mu, nu, p, centers)
-        if _equal_uniform(mu.weights, nu.weights):
-            assert np.allclose(f, values, rtol=(mu.n + 2) * np.finfo(float).eps, atol=0.0)
-        else:
-            assert np.array_equal(f, values)
+        assert np.array_equal(f, _projected_powers(mu, nu, p, centers) ** (1 / p))
