@@ -108,6 +108,11 @@ def _dump_plan(path, plan, header: dict) -> None:
 
 def cmd_dist(args) -> int:
     wanted = ("w", "sw", "maxsw") if args.metric == "all" else (args.metric,)
+    # flags that nothing would read are errors, checked before any file is loaded
+    if args.dual and (args.p != 1 or "w" not in wanted):
+        raise ValueError("--dual needs --p 1 and a metric that computes W (w or all)")
+    if args.plan_out and "w" not in wanted:
+        raise ValueError("--plan-out needs a metric that computes W (w or all)")
     if "maxsw" in wanted and args.certified:
         _check_tol(args.tol)  # before any file is loaded or solve runs
     elif "maxsw" in wanted:
@@ -122,14 +127,14 @@ def cmd_dist(args) -> int:
 
     if "w" in wanted:
         t0 = time.perf_counter()
-        dual = p == 1 and args.dual  # one simplex solve serves the plan and the duals
-        plan, duals = _exact(mu, nu, p) if dual else (wasserstein_exact(mu, nu, p), None)
+        # one simplex solve serves the plan and the duals
+        plan, duals = _exact(mu, nu, p) if args.dual else (wasserstein_exact(mu, nu, p), None)
         entry = {
             "value": plan.primal_value,
             "plan_support": int(plan.mass.shape[0]),
             "time_s": time.perf_counter() - t0,
         }
-        if dual:
+        if args.dual:
             cert = dual_potentials_w1(mu, nu) if duals is None else _certificate(mu, nu, *duals)
             entry["dual_value"] = cert.dual_value
             entry["duality_gap"] = abs(plan.primal_value - cert.dual_value)

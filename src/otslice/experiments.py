@@ -32,7 +32,7 @@ from scipy import stats as _scipy_stats
 
 from .errors import DegenerateInstance, DimensionMismatch
 from .measures import DiscreteMeasure, GeneratorSpec, generate, make_discrete, rng_stream
-from .maxsliced import max_sliced, max_sliced_certified
+from .maxsliced import _check_tol, max_sliced, max_sliced_certified
 from .ot_exact import wasserstein_exact
 from .sliced import default_scheme, sliced_wasserstein
 from .sphere import as_unit
@@ -109,12 +109,12 @@ def write_records_csv(records: Sequence[ExperimentRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def random_pair(d: int, rng: np.random.Generator, max_atoms: int = 25, scale: float = 1.0):
-    """A generic weighted instance pair: Gaussian clouds with Dirichlet weights."""
-    n = int(rng.integers(2, max_atoms + 1))
-    m = int(rng.integers(2, max_atoms + 1))
-    mu = make_discrete(rng.standard_normal((n, d)) * scale, rng.dirichlet(np.ones(n)))
-    nu = make_discrete(rng.standard_normal((m, d)) * scale, rng.dirichlet(np.ones(m)))
+def random_pair(d: int, rng: np.random.Generator):
+    """A generic weighted instance pair: Gaussian clouds of 2 to 25 atoms with Dirichlet weights."""
+    n = int(rng.integers(2, 26))
+    m = int(rng.integers(2, 26))
+    mu = make_discrete(rng.standard_normal((n, d)), rng.dirichlet(np.ones(n)))
+    nu = make_discrete(rng.standard_normal((m, d)), rng.dirichlet(np.ones(m)))
     return mu, nu
 
 
@@ -267,13 +267,12 @@ def inequality_audit(
     instances_per_cell: int,
     seed: int,
     certified_tol: float = 1e-4,
-    tol: float = 1e-6,
     threads: int = 1,
 ) -> AuditReport:
     """Verify, per random instance, the sandwich between the three distances.
 
     Checks normalized SW <= certified maxSW upper, maxSW lower <= W, and for
-    p = 2 additionally W <= sqrt(d) * maxSW upper, each with slack ``tol``.
+    p = 2 additionally W <= sqrt(d) * maxSW upper, each with slack 1e-6.
     The SW check needs no quadrature error term: the default schemes weight
     every direction equally, so the computed normalized SW^p is a mean of
     exact W_p^p(v_k), at most their maximum, hence at most maxSW^p. Either
@@ -281,10 +280,14 @@ def inequality_audit(
     check can fire on correct code (acceptance criterion 4). ``margin_min``
     and ``margin_mean`` cover the two sandwich inequalities only; sqrt(d)
     violations are counted in ``violations_by_kind``.
-    Raises :class:`DegenerateInstance` when there is no instance to audit.
+    Raises :class:`DegenerateInstance` when there is no instance to audit and
+    :class:`InvalidOrder` when ``certified_tol`` is not positive, before any
+    solve.
     """
     if instances_per_cell < 1 or not d_list or not p_list:
         raise DegenerateInstance("an audit needs at least one instance per cell, d and p")
+    _check_tol(certified_tol)
+    slack = 1e-6
 
     def run(task):
         di, pi, k = task
@@ -297,11 +300,11 @@ def inequality_audit(
         cert = max_sliced_certified(mu, nu, p, certified_tol, plan=plan)
 
         violations = []
-        if sw > cert.upper + tol:
+        if sw > cert.upper + slack:
             violations.append("sw_le_maxsw")
-        if cert.lower > w + tol:
+        if cert.lower > w + slack:
             violations.append("maxsw_le_w")
-        if p == 2 and w > math.sqrt(d) * cert.upper + tol:
+        if p == 2 and w > math.sqrt(d) * cert.upper + slack:
             violations.append("w_le_sqrtd_maxsw")
         return AuditCell(
             d=d,
@@ -322,7 +325,7 @@ def inequality_audit(
     ]
     cells = _parallel_map(run, tasks, threads)
     margins = [m for c in cells
-               for m in (c.maxsw_upper + tol - c.sw_normalized, c.w + tol - c.maxsw_lower)]
+               for m in (c.maxsw_upper + slack - c.sw_normalized, c.w + slack - c.maxsw_lower)]
     by_kind = {"sw_le_maxsw": 0, "maxsw_le_w": 0, "w_le_sqrtd_maxsw": 0}
     for c in cells:
         for kind in c.violations:
@@ -360,16 +363,16 @@ def cd_lower_bound_scan(
     instances: int,
     seed: int,
     p: float = 1.0,
-    certified_tol: float = 1e-3,
     threads: int = 1,
 ) -> CdScanReport:
     """max over instances of W / maxSW_upper: a lower bound for any constant
     C with W <= C * maxSW over all measure pairs.
 
-    The denominator is a certified upper bound at every d, so the ratio is a
-    valid bound. The certified search's work grows steeply with d; where it
-    exhausts its evaluation budget (about d >= 7) the scan raises
-    :class:`BudgetExceeded` rather than report an uncertified ratio.
+    The denominator is a certified upper bound at every d (brackets 1e-3
+    wide), so the ratio is a valid bound. The certified search's work grows
+    steeply with d; where it exhausts its evaluation budget (about d >= 7)
+    the scan raises :class:`BudgetExceeded` rather than report an
+    uncertified ratio.
     """
     if instances < 1:
         raise DegenerateInstance("need at least one instance")
@@ -378,7 +381,7 @@ def cd_lower_bound_scan(
         rng = rng_stream(seed, 0xCD, k)
         mu, nu = random_pair(d, rng)
         plan = wasserstein_exact(mu, nu, p)
-        res = max_sliced_certified(mu, nu, p, certified_tol, plan=plan)
+        res = max_sliced_certified(mu, nu, p, 1e-3, plan=plan)
         return plan.primal_value, res.upper
 
     results = _parallel_map(run, range(instances), threads)
@@ -502,20 +505,20 @@ def convergence_suite(
     target: DiscreteMeasure,
     schedule: Sequence[DiscreteMeasure],
     p: float = 1.0,
-    maxsw_tol: float = 1e-3,
     threads: int = 1,
 ) -> ConvergenceReport:
     """Track W, normalized SW, and maxSW from each schedule entry to target.
 
-    The max-sliced values are certified brackets at every d, so the sandwich
-    normalized SW <= maxSW upper and maxSW lower <= W is checked per step
-    with slack 1e-9: SW^p is a mean of exact W_p^p(v_k), never above maxSW^p.
+    The max-sliced values are certified brackets 1e-3 wide at every d, so
+    the sandwich normalized SW <= maxSW upper and maxSW lower <= W is checked
+    per step with slack 1e-9: SW^p is a mean of exact W_p^p(v_k), never above
+    maxSW^p.
     """
 
     def run(mu_n):
         plan = wasserstein_exact(mu_n, target, p)
         sw = sliced_wasserstein(mu_n, target, p, normalized=True).value
-        res = max_sliced_certified(mu_n, target, p, maxsw_tol, plan=plan)
+        res = max_sliced_certified(mu_n, target, p, 1e-3, plan=plan)
         return plan.primal_value, sw, res.lower, res.upper
 
     rows = _parallel_map(run, list(schedule), threads)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
-from .ot1d import _equal_uniform, _monotone_rows, to_measure1d, wasserstein_1d
+from .ot1d import _pairings, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, wasserstein_exact
 from .sliced import CHUNK_ELEMENTS, _projected_powers, _projections
 from .sphere import as_unit, project
@@ -53,30 +53,6 @@ class DirectionResult:
     mode: str
 
 
-def _pairings(mu, nu, p, dirs: np.ndarray):
-    """W_p^p along each row of ``dirs`` and the monotone pairing that gives it.
-
-    Returns ``(value, t, mass, i, j)``: row r pairs atom ``i[r, k]`` of mu with
-    atom ``j[r, k]`` of nu with mass ``mass[r, k]`` across the projected gap
-    ``t[r, k]``. Equal-size uniform measures pair their stably sorted atoms one
-    to one with mass 1/n and ``value`` is the mean of |t|^p; other pairs go
-    through :func:`_monotone_rows` (rows may hold segments of zero mass) and
-    ``value`` is sum mass |t|^p: the bits :func:`wasserstein_pp_batch` gives.
-    """
-    pa, pb = _projections(mu, dirs), _projections(nu, dirs)
-    uniform = _equal_uniform(mu.weights, nu.weights)
-    if uniform:
-        i = np.argsort(pa, axis=1, kind="stable")
-        j = np.argsort(pb, axis=1, kind="stable")
-        mass = np.full(pa.shape, 1.0 / pa.shape[1])
-    else:
-        mass, i, j = _monotone_rows(pa, pb, mu.weights, nu.weights)
-    t = np.take_along_axis(pa, i, axis=1) - np.take_along_axis(pb, j, axis=1)
-    cost = np.abs(t) ** p
-    value = np.mean(cost, axis=1) if uniform else np.sum(mass * cost, axis=1)
-    return value, t, mass, i, j
-
-
 def projected_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v) -> float:
     """Exact W_p between the projections of mu and nu onto direction v."""
     v = as_unit(v)
@@ -91,8 +67,9 @@ def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, 
     At directions with ties in the projected sort order this is one valid
     choice among several.
     """
-    v = np.asarray(v, dtype=float)
-    value, t, mass, i, j = (a[0] for a in _pairings(mu, nu, p, v[None]))
+    v = np.asarray(v, dtype=float)[None]
+    pa, pb = _projections(mu, v), _projections(nu, v)
+    value, t, mass, i, j = (a[0] for a in _pairings(pa, pb, mu.weights, nu.weights, p))
     keep = mass > 0.0
     gap, mass, i, j = t[keep], mass[keep], i[keep], j[keep]
     coeff = mass * p * np.abs(gap) ** (p - 1.0) * np.sign(gap)
@@ -125,6 +102,7 @@ def _ascent(mu, nu, p, v0, max_iters):
             steps = v + etas[:, None] * tangent
             ladder = np.vstack([ladder, steps / np.linalg.norm(steps, axis=1, keepdims=True)])
         bar = val + 1e-14 * (1.0 + abs(val))
+        # value-only sorts: through _pairings the 24-row tails need index sorts, twice the time
         vals = _projected_powers(mu, nu, p, ladder[:2])
         if not np.any(vals > bar) and ladder.shape[0] > 2:
             vals = np.concatenate([vals, _projected_powers(mu, nu, p, ladder[2:])])
@@ -226,31 +204,6 @@ def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
         raise InvalidSpec("plan marginals do not match the measure weights")
 
 
-class _CouplingBound:
-    """Upper bound on the projected distance from one fixed coupling.
-
-    Pushing a coupling of the d-dimensional problem through a projection
-    yields a feasible coupling of the projected measures, so
-    h(v) = (sum gamma_k |v . z_k|^p)^(1/p) >= W_p(mu_v, nu_v) for every v,
-    and h is Lipschitz with constant equal to the coupling's own cost; for
-    an optimal plan that is the full distance W_p(mu, nu), the tightest
-    choice. ``plan`` defaults to a fresh exact solve.
-    """
-
-    def __init__(self, mu, nu, p, plan: TransportPlan | None = None):
-        if plan is None:
-            plan = wasserstein_exact(mu, nu, p)
-        else:
-            _check_plan(plan, mu, nu, p)
-        self.z = mu.points[plan.i] - nu.points[plan.j]
-        self.gamma = plan.mass
-        self.p = p
-        self.lipschitz = plan.cost(mu, nu) ** (1.0 / p)
-
-    def value_batch(self, dirs: np.ndarray) -> np.ndarray:
-        return (np.abs(dirs @ self.z.T) ** self.p @ self.gamma) ** (1.0 / self.p)
-
-
 def _patch_bounds(mu, nu, p, centers, steps):
     """Exact center distances and certified cap bounds for each patch.
 
@@ -264,7 +217,8 @@ def _patch_bounds(mu, nu, p, centers, steps):
     vanishes at a smooth maximizer, and the resulting bound never exceeds
     f + step * dc.
     """
-    f_pp, t, mass, i, j = _pairings(mu, nu, p, centers)
+    pa, pb = _projections(mu, centers), _projections(nu, centers)
+    f_pp, t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p)
     diff = mu.points[i] - nu.points[j]
     znorm = np.linalg.norm(diff, axis=2)
     f = f_pp ** (1.0 / p)
@@ -355,7 +309,17 @@ def max_sliced_certified(
         v = np.array([1.0])
         w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
         return DirectionResult(v_star=v, lower=w, upper=w, evaluations=1, mode="certified")
-    bound = _CouplingBound(mu, nu, p, plan)
+    # Pushing a coupling of the d-dimensional problem through a projection
+    # yields a feasible coupling of the projected measures, so
+    # h(v) = (sum mass |v . z|^p)^(1/p) >= W_p(mu_v, nu_v) for every v, and h
+    # is Lipschitz with the coupling's own cost; for an optimal plan that is
+    # the full distance W_p(mu, nu), the tightest choice.
+    if plan is None:
+        plan = wasserstein_exact(mu, nu, p)
+    else:
+        _check_plan(plan, mu, nu, p)
+    z = mu.points[plan.i] - nu.points[plan.j]
+    lipschitz = plan.cost(mu, nu) ** (1.0 / p)
 
     # the first level: the d whole faces {v_k = 1} of the cube [-1, 1]^d
     lo, hi = 2.0 * np.eye(d) - 1.0, np.ones((d, d))
@@ -370,7 +334,7 @@ def max_sliced_certified(
     for _ in range(200):
         centers, step = _box_geometry(lo, hi)
         parts = [_patch_bounds(mu, nu, p, centers[s:s + rows], step[s:s + rows])
-                 + (bound.value_batch(centers[s:s + rows]),)
+                 + ((np.abs(centers[s:s + rows] @ z.T) ** p @ plan.mass) ** (1.0 / p),)
                  for s in range(0, centers.shape[0], rows)]
         fc, local_ub, hc = (np.concatenate(a) for a in zip(*parts))
         evals += centers.shape[0]
@@ -379,7 +343,7 @@ def max_sliced_certified(
         if fc[k] > best_lower:
             best_lower, best_v = float(fc[k]), centers[k]
 
-        uppers = np.minimum(inherited, np.minimum(local_ub, hc + bound.lipschitz * step))
+        uppers = np.minimum(inherited, np.minimum(local_ub, hc + lipschitz * step))
 
         keep = uppers > best_lower + gap
         if np.any(~keep):

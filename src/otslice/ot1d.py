@@ -10,8 +10,11 @@ coupling, so plan cost and distance agree exactly.
 One merge, :func:`_merge_cum`, computes the sweep for R rows at once: one
 stable argsort of both rows' cumulative weights lists every breakpoint in
 order. The single-measure functions (:func:`wasserstein_1d`,
-:func:`monotone_coupling`) run it as one row on ``Measure1D.cum``; the
-direction scans (:func:`wasserstein_pp_batch`) run it on R projections.
+:func:`monotone_coupling`) run it as one row on ``Measure1D.cum``. The
+direction scans pair R rows of projected atoms through one kernel,
+:func:`_pairings`, which returns each row's W_p^p with its pairing;
+:func:`wasserstein_pp_batch` keeps only the value, and sorts equal-size
+uniform rows by value alone.
 
 Quantile convention: the strict-exceedance inverse
 ``F^{-1}(t) = inf{x : mu((-inf, x]) > t}``. The distance is insensitive to
@@ -148,6 +151,11 @@ def _equal_uniform(wx: np.ndarray, wy: np.ndarray) -> bool:
     return wx.shape[0] == wy.shape[0] and bool(np.all(wx == wx[0])) and bool(np.all(wy == wy[0]))
 
 
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, idx, axis=1)`` as one flat take, about twice as fast."""
+    return np.take(a, idx + np.arange(0, a.size, a.shape[1])[:, None])
+
+
 def _sorted_rows(a: np.ndarray):
     """Stable row argsort of ``a`` and its sorted rows."""
     order = np.argsort(a, axis=1)
@@ -180,6 +188,7 @@ def _merge_cum(cx: np.ndarray, cy: np.ndarray):
     n = cx.shape[1]
     m = cy.shape[1]
     c = np.concatenate([cx, cy], axis=1)
+    # timsort merges the two presorted runs: about twice as fast as _sorted_rows here
     order = np.argsort(c, axis=1, kind="stable")
     mass = np.diff(np.take_along_axis(c, order, axis=1), axis=1, prepend=0.0)
     from_x = order < n
@@ -191,28 +200,48 @@ def _merge_cum(cx: np.ndarray, cy: np.ndarray):
     return mass, si, sj
 
 
-def _merge_sorted(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
     """Monotone merge of each row of ``xs`` (R, n) with the same row of ``ys`` (R, m).
 
-    Returns ``(mass, si, sj, ox, oy, sx, sy)``, ``ox, sx = _sorted_rows(xs)``: on
-    segment k of row r the quantiles are ``sx[r, si[r, k]]`` and ``sy[r, sj[r, k]]``.
-    The cumulative weights are ``cumsum`` in sorted order, snapped to end at 1,
-    and go through :func:`_merge_cum`. Per row this costs O((n + m) log(n + m))
-    time and O(n + m) memory.
+    Returns ``(mass, i, j)``, each (R, n + m): segment k of row r pairs atom
+    ``i[r, k]`` of x with atom ``j[r, k]`` of y (original indices) with mass
+    ``mass[r, k]``, zero on ties. The cumulative weights are ``cumsum`` in
+    stably sorted order, snapped to end at 1, and go through
+    :func:`_merge_cum`. Per row this costs O((n + m) log(n + m)) time and
+    O(n + m) memory.
     """
-    ox, sx = _sorted_rows(xs)
-    oy, sy = _sorted_rows(ys)
+    ox, _ = _sorted_rows(xs)
+    oy, _ = _sorted_rows(ys)
     cx = np.cumsum(wx[ox], axis=1)
     cy = np.cumsum(wy[oy], axis=1)
     cx[:, -1] = 1.0
     cy[:, -1] = 1.0
-    return (*_merge_cum(cx, cy), ox, oy, sx, sy)
+    mass, si, sj = _merge_cum(cx, cy)
+    return mass, _take_rows(ox, si), _take_rows(oy, sj)
 
 
-def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
-    """``(mass, i, j)`` of :func:`_merge_sorted`, with i and j original atom indices."""
-    mass, si, sj, ox, oy, _, _ = _merge_sorted(xs, ys, wx, wy)
-    return mass, np.take_along_axis(ox, si, axis=1), np.take_along_axis(oy, sj, axis=1)
+def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p: float):
+    """W_p^p between rows of ``xs`` and ``ys`` and the monotone pairing that gives it.
+
+    Returns ``(value, t, mass, i, j)``: row r pairs atom ``i[r, k]`` of x with
+    atom ``j[r, k]`` of y with mass ``mass[r, k]`` across the gap ``t[r, k]``.
+    Equal-size uniform rows pair their stably sorted atoms one to one with
+    mass 1/n and ``value`` is the mean of |t|^p; other rows go through
+    :func:`_monotone_rows` (rows may hold segments of zero mass) and
+    ``value`` is sum mass |t|^p.
+    """
+    uniform = _equal_uniform(wx, wy)
+    if uniform:
+        # one stable argsort per row beats _sorted_rows' tie repair on the short rows here
+        i = np.argsort(xs, axis=1, kind="stable")
+        j = np.argsort(ys, axis=1, kind="stable")
+        mass = np.full(xs.shape, 1.0 / xs.shape[1])
+    else:
+        mass, i, j = _monotone_rows(xs, ys, wx, wy)
+    t = _take_rows(xs, i) - _take_rows(ys, j)
+    cost = np.abs(t) ** p
+    value = np.mean(cost, axis=1) if uniform else np.sum(mass * cost, axis=1)
+    return value, t, mass, i, j
 
 
 def wasserstein_pp_batch(
@@ -228,17 +257,14 @@ def wasserstein_pp_batch(
     1D measures with weights ``wx`` and ``wy``. Same quantile convention as
     :func:`wasserstein_1d`; duplicate atoms need no merging because merging
     does not change the quantile function. Equal-size uniform rows pair
-    their sorted atoms directly, O(n log n) per row; other rows go through
-    :func:`_merge_sorted`, O((n + m) log(n + m)) per row.
+    their sorted atoms directly, O(n log n) per row; other rows take the
+    value of :func:`_pairings`, O((n + m) log(n + m)) per row.
     """
     _check_order(p)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if _equal_uniform(wx, wy):
-        # equal-size uniform measures: quantiles pair sorted samples directly
+        # value-only np.sort: several times faster than the index sorts a pairing needs
         dx = np.sort(xs, axis=1) - np.sort(ys, axis=1)
         return np.mean(np.abs(dx) ** p, axis=1)
-
-    mass, si, sj, _, _, sx, sy = _merge_sorted(xs, ys, wx, wy)
-    gaps = np.abs(np.take_along_axis(sx, si, axis=1) - np.take_along_axis(sy, sj, axis=1))
-    return np.sum(mass * gaps**p, axis=1)
+    return _pairings(xs, ys, wx, wy, p)[0]

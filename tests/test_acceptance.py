@@ -84,7 +84,6 @@ def test_criterion_03_inequality_chain():
         instances_per_cell=75,
         seed=303,
         certified_tol=1e-4,
-        tol=1e-6,
         threads=4,
     )
     elapsed = time.time() - t0

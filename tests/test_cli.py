@@ -175,6 +175,23 @@ class TestDist:
                              f"--tol={tol}"]) == 2
                 assert "InvalidOrder: tol must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--p", "2", "--dual"],
+        ["--metric", "sw", "--dual"],
+        ["--metric", "maxsw", "--dual"],
+        ["--metric", "sw", "--plan-out", "plan.csv"],
+        ["--metric", "maxsw", "--plan-out", "plan.csv"],
+    ])
+    def test_ignored_flags_rejected_before_loading(self, pair_files, monkeypatch, capsys,
+                                                    tmp_path, flags):
+        # no solve would read these flags, so they exit 2 before a file is loaded
+        monkeypatch.setattr(cli, "load_measure", lambda *a: pytest.fail("loaded a file"))
+        monkeypatch.chdir(tmp_path)
+        a, b = pair_files
+        assert main(["dist", str(a), str(b), *flags]) == 2
+        assert "needs" in capsys.readouterr().err
+        assert not (tmp_path / "plan.csv").exists()
+
     def test_plan_dump(self, pair_files, tmp_path):
         a, b = pair_files
         plan_path = tmp_path / "plan.csv"
@@ -291,6 +308,17 @@ class TestSuites:
     def test_audit_without_instances_exit_2(self, capsys):
         assert main(["audit", "--instances", "0"]) == 2
         assert "DegenerateInstance" in capsys.readouterr().err
+
+    def test_audit_non_positive_tol_exit_2(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved before checking --tol")
+
+        monkeypatch.setattr(cli.experiments, "wasserstein_exact", no_solve)
+        monkeypatch.setattr(cli.experiments, "sliced_wasserstein", no_solve)
+        for tol in ("0", "nan"):
+            for threads in ("1", "2"):
+                assert main(["audit", f"--tol={tol}", "--threads", threads]) == 2
+                assert "InvalidOrder: tol must be positive" in capsys.readouterr().err
 
     def test_audit_d4_p1_exit_0(self, capsys):
         # p = 1 only: the p = 2 sqrt(d) check (criterion 4) may fire on correct code

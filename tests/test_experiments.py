@@ -10,6 +10,7 @@ from otslice import (
     DimensionMismatch,
     DirectionResult,
     GeneratorSpec,
+    InvalidOrder,
     generate,
     make_discrete,
 )
@@ -196,6 +197,19 @@ class TestInequalityAudit:
             with pytest.raises(DegenerateInstance):
                 ex.inequality_audit(d_list=d_list, p_list=p_list, instances_per_cell=k, seed=0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_non_positive_tol_rejected_before_solving(self, monkeypatch, tol, threads):
+        # the pool would run every queued instance's SW and W before the search saw the tol
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved before checking certified_tol")
+
+        monkeypatch.setattr(ex, "wasserstein_exact", no_solve)
+        monkeypatch.setattr(ex, "sliced_wasserstein", no_solve)
+        with pytest.raises(InvalidOrder, match="tol must be positive"):
+            ex.inequality_audit(d_list=[2, 3], p_list=[1.0, 2.0], instances_per_cell=2,
+                                seed=0, certified_tol=tol, threads=threads)
+
     def test_d4_audit_has_no_sandwich_violations(self):
         # SW at d = 4 takes the Monte Carlo default; maxSW is certified there too
         report = ex.inequality_audit(d_list=[4], p_list=[1.0, 2.0], instances_per_cell=3, seed=0)
@@ -249,7 +263,7 @@ class TestConvergenceSuite:
 
     def test_sw_above_upper_counted_within_tol(self, monkeypatch):
         # SW is a mean of exact projected values, so it can never exceed a
-        # certified upper: 1e-4 above one is a violation, though below maxsw_tol
+        # certified upper: 1e-4 above one is a violation, though below the 1e-3 width
         def low_upper(mu, nu, p, tol, plan=None):
             sw = ex.sliced_wasserstein(mu, nu, p, normalized=True).value
             return DirectionResult(v_star=np.array([1.0, 0.0]), lower=0.0, upper=sw - 1e-4,
@@ -258,7 +272,7 @@ class TestConvergenceSuite:
         monkeypatch.setattr(ex, "max_sliced_certified", low_upper)
         target = make_discrete([[0.0, 0.0]], [1.0])
         schedule = ex.translation_schedule(target, [1.0, 0.0], [1.0, 0.5, 0.25])
-        report = ex.convergence_suite(target, schedule, p=1.0, maxsw_tol=1e-3)
+        report = ex.convergence_suite(target, schedule, p=1.0)
         assert report.ordering_violations == 3
 
     def test_constant_schedule_all_zero(self, rng):

@@ -16,7 +16,7 @@ from otslice import (
     wasserstein_exact,
     wasserstein_pp_batch,
 )
-from otslice.ot1d import _merge_sorted, _monotone_rows, _sorted_rows
+from otslice.ot1d import _merge_cum, _monotone_rows, _sorted_rows
 from conftest import random_measure
 
 
@@ -321,9 +321,13 @@ class TestRowSort:
             xs = self.mixed_rows(rng, 32, max(n, 8))[:, :n]
             ys = self.mixed_rows(rng, 32, max(m, 8))[:, :m]
             wx, wy = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
-            mass, si, sj, ox, oy, sx, sy = _merge_sorted(xs, ys, wx, wy)
-            assert np.array_equal(ox, np.argsort(xs, axis=1, kind="stable"))
-            assert np.array_equal(oy, np.argsort(ys, axis=1, kind="stable"))
-            _, i, j = _monotone_rows(xs, ys, wx, wy)
+            # reference: stable argsorts, snapped cumulative weights, _merge_cum
+            ox = np.argsort(xs, axis=1, kind="stable")
+            oy = np.argsort(ys, axis=1, kind="stable")
+            cx, cy = np.cumsum(wx[ox], axis=1), np.cumsum(wy[oy], axis=1)
+            cx[:, -1] = cy[:, -1] = 1.0
+            ref_mass, si, sj = _merge_cum(cx, cy)
+            mass, i, j = _monotone_rows(xs, ys, wx, wy)
+            assert np.array_equal(mass, ref_mass)
             assert np.array_equal(i, np.take_along_axis(ox, si, axis=1))
             assert np.array_equal(j, np.take_along_axis(oy, sj, axis=1))
