@@ -41,9 +41,10 @@ class DirectionResult:
     ``lower`` is the exact projected distance the search computed at ``v_star``
     (a valid lower bound on the max-sliced distance); ``upper`` equals ``lower``
     in heuristic mode and is a certified global upper bound in certified mode.
-    ``evaluations`` counts projected distances: in heuristic mode one per
-    ascent start plus the ladder candidates evaluated (2 per iteration, 26
-    when neither of those improves), in certified mode one per patch center.
+    ``evaluations`` counts projected distances: in heuristic mode, summed over
+    the starts (which run in lockstep, each with its own count), one per start
+    plus the ladder candidates it evaluated (2 per iteration, 26 when neither
+    of those improves); in certified mode one per patch center.
     """
 
     v_star: np.ndarray
@@ -59,59 +60,112 @@ def projected_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v) ->
     return wasserstein_1d(project(mu, v), project(nu, v), p)
 
 
-def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v):
-    """Value and ambient subgradient of v -> W_p(mu_v, nu_v)^p.
+def _check_rows(dirs: np.ndarray, d: int) -> None:
+    """Reject direction rows that are not an (R, d) array."""
+    if dirs.ndim != 2 or dirs.shape[1] != d:
+        raise DimensionMismatch(f"direction rows have shape {dirs.shape}, measure has dim {d}")
 
-    The subgradient is assembled from one monotone coupling:
+
+def _gradients(mu, nu, p, dirs):
+    """W_p(mu_v, nu_v)^p and its ambient subgradient for each row v of ``dirs``.
+
+    Each subgradient is assembled from the row's monotone coupling:
     sum mass * p * |v.(x_i - y_j)|^(p-1) * sign(v.(x_i - y_j)) * (x_i - y_j).
     At directions with ties in the projected sort order this is one valid
-    choice among several.
+    choice among several. A row's result does not depend on the other rows
+    of the batch: the projections round alike for any row count, and the
+    sums run row by row.
+    """
+    pa, pb = _projections(mu, dirs), _projections(nu, dirs)
+    value, t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p)
+    coeff = mass * p * np.abs(t) ** (p - 1.0) * np.sign(t)
+    return value, np.matmul(coeff[:, None], mu.points[i] - nu.points[j])[:, 0]
+
+
+def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v):
+    """Value and ambient subgradient of v -> W_p(mu_v, nu_v)^p at one direction v.
+
+    The one-row case of the ascent's batched gradient; a v that is not a
+    vector of length ``mu.dim`` raises :class:`DimensionMismatch`.
     """
     v = np.asarray(v, dtype=float)[None]
-    pa, pb = _projections(mu, v), _projections(nu, v)
-    value, t, mass, i, j = (a[0] for a in _pairings(pa, pb, mu.weights, nu.weights, p))
-    keep = mass > 0.0
-    gap, mass, i, j = t[keep], mass[keep], i[keep], j[keep]
-    coeff = mass * p * np.abs(gap) ** (p - 1.0) * np.sign(gap)
-    grad = coeff @ (mu.points[i] - nu.points[j])
-    return float(value), grad
+    _check_rows(v, mu.dim)
+    value, grad = _gradients(mu, nu, p, v)
+    return float(value[0]), grad[0]
 
 
-def _ascent(mu, nu, p, v0, max_iters):
-    """Backtracking subgradient ascent; returns (best v, best W_p^p, evals).
+_LADDER = 26  # the normalized gradient, then 25 halving tangent steps
 
-    Each iteration's ladder is the normalized gradient (the eta -> inf limit),
-    then v + eta0 2^-k tangent, normalized, for k = 0..24. Candidates 0-1 go
-    in one batch (never one row alone: a one-row product takes another BLAS
-    kernel and may round differently), 2-25 in a second only if neither
-    improves. The step is the first improving candidate in ladder order, as
-    in a serial search. ``evals`` counts the start and each candidate evaluated.
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[r] @ b[r]`` for each row, rounded as that one-vector product (a BLAS dot) rounds it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _ascent(mu, nu, p, starts, max_iters):
+    """Backtracking subgradient ascent from each row of ``starts``, in lockstep.
+
+    Returns (directions, W_p^p, evals), one entry per start, each as if the
+    start ran alone. A start's ladder is the normalized gradient (the eta ->
+    inf limit), then v + eta0 2^-k tangent, normalized, for k = 0..24; it
+    moves to the first candidate in ladder order that beats
+    val + 1e-14 (1 + |val|), and stops when its gradient is 0, when none
+    does, or after ``max_iters`` iterations. An iteration evaluates
+    candidates 0-1 of every live start in one batch, 2-25 in a second only
+    for the starts where neither improved, and the gradients of the starts
+    that moved in a third. Starts go through in blocks that keep each batch
+    near ``CHUNK_ELEMENTS``. ``evals`` counts a start and each candidate
+    evaluated for it. Start rows must be finite, nonzero and of length
+    ``mu.dim`` (:class:`DimensionMismatch`).
     """
+    v = np.asarray(starts, dtype=float)
+    d = mu.dim
+    _check_rows(v, d)
+    norms = np.sqrt(_row_dots(v, v))
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise DimensionMismatch("direction must be a finite nonzero vector")
+    v = v / norms[:, None]
     L = moment_p(mu, p) + moment_p(nu, p)
-    etas = (0.5 / max(L, 1e-300)) * 0.5 ** np.arange(25.0)
-    v = as_unit(v0)
-    val, grad = projected_cost_gradient(mu, nu, p, v)
-    evals = 1
-    for _ in range(max_iters):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            break
-        ladder = grad[None] / gnorm
-        tangent = grad - float(grad @ v) * v
-        if float(np.linalg.norm(tangent)) > 0.0:
-            steps = v + etas[:, None] * tangent
-            ladder = np.vstack([ladder, steps / np.linalg.norm(steps, axis=1, keepdims=True)])
-        bar = val + 1e-14 * (1.0 + abs(val))
-        # value-only sorts: through _pairings the 24-row tails need index sorts, twice the time
-        vals = _projected_powers(mu, nu, p, ladder[:2])
-        if not np.any(vals > bar) and ladder.shape[0] > 2:
-            vals = np.concatenate([vals, _projected_powers(mu, nu, p, ladder[2:])])
-        evals += vals.size
-        better = np.flatnonzero(vals > bar)
-        if not better.size:
-            break
-        v, val = ladder[better[0]], float(vals[better[0]])
-        _, grad = projected_cost_gradient(mu, nu, p, v)
+    etas = (0.5 / max(L, 1e-300)) * 0.5 ** np.arange(_LADDER - 1.0)
+    val = np.empty(v.shape[0])
+    evals = np.ones(v.shape[0], dtype=np.int64)
+    # a block's tail batch projects 24 rows per start, its gradients gather (n + m, d) per start
+    block = max(1, CHUNK_ELEMENTS // ((mu.n + nu.n) * max(_LADDER, d)))
+    for s in range(0, v.shape[0], block):
+        live = np.arange(s, min(s + block, v.shape[0]))
+        val[live], grad = _gradients(mu, nu, p, v[live])
+        for it in range(max_iters):
+            gnorm = np.sqrt(_row_dots(grad, grad))
+            moving = gnorm > 0.0
+            live, grad, gnorm, u = live[moving], grad[moving], gnorm[moving], v[live[moving]]
+            if not live.size:
+                break
+            tangent = grad - _row_dots(grad, u)[:, None] * u
+            steps = u[:, None] + etas[:, None] * tangent[:, None]
+            ladder = np.empty((live.size, _LADDER, d))
+            ladder[:, 0] = grad / gnorm[:, None]
+            ladder[:, 1:] = steps / np.linalg.norm(steps, axis=2, keepdims=True)
+            # a start whose tangent is 0 has the normalized gradient alone
+            size = np.where(_row_dots(tangent, tangent) > 0.0, _LADDER, 1)
+            bar = val[live] + 1e-14 * (1.0 + np.abs(val[live]))
+            cand = np.full((live.size, _LADDER), -np.inf)
+            # value-only sorts: through _pairings the 24-row tails need index sorts, twice the time
+            head = np.arange(2) < size[:, None]
+            cand[:, :2][head] = _projected_powers(mu, nu, p, ladder[:, :2][head])
+            tail = (size > 2) & ~np.any(cand[:, :2] > bar[:, None], axis=1)
+            if np.any(tail):
+                cand[tail, 2:] = _projected_powers(
+                    mu, nu, p, ladder[tail, 2:].reshape(-1, d)
+                ).reshape(-1, _LADDER - 2)
+            evals[live] += np.minimum(size, 2) + (_LADDER - 2) * tail
+            better = cand > bar[:, None]
+            rows = np.flatnonzero(np.any(better, axis=1))
+            k = np.argmax(better[rows], axis=1)
+            live = live[rows]
+            v[live], val[live] = ladder[rows, k], cand[rows, k]
+            if not live.size or it + 1 == max_iters:
+                break
+            _, grad = _gradients(mu, nu, p, v[live])
     return v, val, evals
 
 
@@ -134,12 +188,15 @@ def direction_ascent(
 ):
     """Local search from v0; returns (direction, exact projected distance).
 
+    The one-start case of the lockstep ascent that :func:`max_sliced` runs.
     The objective is nondecreasing over accepted steps; the returned value
-    is the p-th root of the W_p^p the ascent computed at the direction.
+    is the p-th root of the W_p^p the ascent computed at the direction. A v0
+    that is not a finite nonzero vector of length ``mu.dim`` raises
+    :class:`DimensionMismatch`.
     """
     _check_pair(mu, nu, p)
-    v, val, _ = _ascent(mu, nu, p, v0, max_iters)
-    return v, val ** (1.0 / p)
+    v, val, _ = _ascent(mu, nu, p, np.asarray(v0, dtype=float)[None], max_iters)
+    return v[0], val[0] ** (1.0 / p)
 
 
 def max_sliced(
@@ -151,10 +208,12 @@ def max_sliced(
 ) -> DirectionResult:
     """Best of ``starts`` ascent runs plus the d axis directions.
 
-    The objective is even in v, so -e_k would retrace e_k. ``lower`` is the
-    best W_p^p an ascent computed, to the power 1/p. ``evaluations`` counts
-    one projected distance per start and the ladder candidates each ascent
-    iteration evaluated: the first 2 of its (up to 26) directions, plus the
+    The objective is even in v, so -e_k would retrace e_k. The d + ``starts``
+    ascents run in lockstep (:func:`_ascent`), each with its own steps,
+    iteration count and stop; ``lower`` is the best W_p^p one of them
+    computed (the first such start), to the power 1/p. ``evaluations`` sums
+    one projected distance per start and the ladder candidates each of its
+    iterations evaluated: the first 2 of its (up to 26) directions, plus the
     other 24 when neither of those improves.
     """
     _check_pair(mu, nu, p)
@@ -167,18 +226,12 @@ def max_sliced(
 
     raw = rng_stream(seed, 0xA5).standard_normal((starts, d))
     inits = np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
-
-    best_v, best_val, evals = None, -1.0, 0
-    for v0 in inits:
-        v, val, used = _ascent(mu, nu, p, v0, max_iters=100)
-        evals += used
-        if val > best_val:
-            best_v, best_val = v, val
-    lower = best_val ** (1.0 / p)
+    v, val, evals = _ascent(mu, nu, p, inits, max_iters=100)
+    k = int(np.argmax(val))
+    lower = float(val[k]) ** (1.0 / p)
     return DirectionResult(
-        v_star=best_v, lower=lower, upper=lower, evaluations=evals, mode="heuristic"
+        v_star=v[k], lower=lower, upper=lower, evaluations=int(evals.sum()), mode="heuristic"
     )
-
 
 # ---------------------------------------------------------------------------
 # Certified branch-and-bound

@@ -25,7 +25,7 @@ from otslice import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from otslice import experiments, maxsliced
+from otslice import experiments, maxsliced, sliced
 from otslice.measures import rng_stream
 from otslice.maxsliced import _ascent, _box_geometry, _halve, _patch_bounds
 from otslice.sliced import _projected_powers
@@ -118,13 +118,13 @@ class TestAscentLadder:
 
     def test_batch_picks_the_serial_step(self, rng, monkeypatch):
         gradients_at = []
-        original = maxsliced.projected_cost_gradient
+        original = maxsliced._gradients
 
-        def recording(mu, nu, p, v):
-            gradients_at.append(np.array(v))
-            return original(mu, nu, p, v)
+        def recording(mu, nu, p, dirs):
+            gradients_at.extend(np.array(dirs))
+            return original(mu, nu, p, dirs)
 
-        monkeypatch.setattr(maxsliced, "projected_cost_gradient", recording)
+        monkeypatch.setattr(maxsliced, "_gradients", recording)
         runs, all_hits = 0, []
         for mu, nu in self.pairs(rng):
             d = mu.dim
@@ -133,7 +133,7 @@ class TestAscentLadder:
                     accepted, hits, ref_val, ladder_total = serial_ascent(mu, nu, p, v0)
                     all_hits.extend(hits)
                     gradients_at.clear()
-                    _, val, evals = _ascent(mu, nu, p, v0, max_iters=100)
+                    _, (val,), (evals,) = _ascent(mu, nu, p, v0[None], max_iters=100)
                     # the batch takes one gradient at the start and one per accepted step
                     steps = gradients_at[1:]
                     assert len(steps) == len(accepted)
@@ -152,7 +152,7 @@ class TestAscentLadder:
         a, b = point_mass((1.0, -2.0)), point_mass((1.0, 2.5))
         for p in (1.0, 2.0):
             for v0 in (np.array([0.0, 1.0]), np.array([0.0, -1.0])):
-                v, val, evals = _ascent(a, b, p, v0, max_iters=100)
+                (v,), (val,), (evals,) = _ascent(a, b, p, v0[None], max_iters=100)
                 assert evals == 2
                 assert np.array_equal(v, v0)
                 assert val == 4.5**p
@@ -173,10 +173,60 @@ class TestAscentLadder:
                 mu, nu = random_pair(rng, d, max_atoms=10, weighted=k % 3 == 0)
             for p in (1.0, 1.5, 2.0):
                 for e in np.eye(d):
-                    v, val, _ = _ascent(mu, nu, p, e, max_iters=100)
-                    w, wval, _ = _ascent(mu, nu, p, -e, max_iters=100)
+                    (v, w), (val, wval), _ = _ascent(mu, nu, p, np.stack([e, -e]), max_iters=100)
                     assert np.allclose(w, -v, rtol=0.0, atol=1e-10)
                     assert wval == pytest.approx(val, rel=1e-12, abs=0.0)
+
+
+class TestLockstep:
+    def pairs(self, rng, d):
+        lattice = rng.integers(-3, 4, (9, d)).astype(float)
+        yield (make_discrete(lattice[:5], rng.dirichlet(np.ones(5))),
+               make_discrete(lattice[5:], rng.dirichlet(np.ones(4))))
+        yield random_pair(rng, d, max_atoms=12)
+        yield point_mass(rng.standard_normal(d)), random_measure(rng, d, max_atoms=6)
+        yield point_mass(rng.standard_normal(d)), point_mass(rng.standard_normal(d))
+
+    def test_equals_independent_runs(self, rng):
+        # each start of the lockstep batch takes the steps and the stop of its own serial run
+        spread = 0
+        for d in (2, 3):
+            for mu, nu in self.pairs(rng, d):
+                for p, starts, seed in ((1.0, 3, 0), (1.5, 2, 7), (2.0, 4, 11)):
+                    res = max_sliced(mu, nu, p, starts=starts, seed=seed)
+                    raw = rng_stream(seed, 0xA5).standard_normal((starts, d))
+                    inits = np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+                    runs = [serial_ascent(mu, nu, p, v0) for v0 in inits]
+                    best = max(val for _, _, val, _ in runs)
+                    assert res.lower**p == pytest.approx(best, rel=1e-12, abs=1e-300)
+                    assert res.evaluations == sum(total for _, _, _, total in runs)
+                    spread += len({len(accepted) for accepted, _, _, _ in runs}) > 1
+        # starts stopped at different iterations in most of the cases
+        assert spread >= 12
+
+    def test_split_batches_change_nothing(self, rng, monkeypatch):
+        # caps of 3 starts per lockstep block and 5 rows per ladder batch
+        for p in (1.0, 2.0):
+            for weighted in (False, True):
+                mu, nu = random_pair(rng, 3, max_atoms=15, weighted=weighted)
+                whole = max_sliced(mu, nu, p, starts=20, seed=5)
+                with monkeypatch.context() as m:
+                    m.setattr(maxsliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n) * 26)
+                    m.setattr(sliced, "CHUNK_ELEMENTS", 5 * (mu.n + nu.n))
+                    split = max_sliced(mu, nu, p, starts=20, seed=5)
+                assert split.lower == pytest.approx(whole.lower, rel=1e-12, abs=0.0)
+                assert split.evaluations == whole.evaluations
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wrong_length_start_is_a_dimension_error(self, rng, d):
+        mu, nu = random_pair(rng, d, max_atoms=6)
+        for v in (np.ones(d - 1), np.ones(d + 1), np.ones((2, d))):
+            with pytest.raises(DimensionMismatch):
+                direction_ascent(mu, nu, 1.0, v)
+            with pytest.raises(DimensionMismatch):
+                projected_cost_gradient(mu, nu, 1.0, v)
+            with pytest.raises(DimensionMismatch):
+                projected_distance(mu, nu, 1.0, v)
 
 
 class TestGradient:

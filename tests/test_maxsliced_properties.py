@@ -1,10 +1,12 @@
-"""Property tests of the certified search's cap bounds (need the optional ``hypothesis`` test extra)."""
+"""Property tests of the certified search's cap bounds and of the heuristic ascent's
+place in the chain (need the optional ``hypothesis`` test extra)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otslice import make_discrete, moment_p
+from otslice import (BudgetExceeded, make_discrete, max_sliced, max_sliced_certified, moment_p,
+                     projected_distance, wasserstein_exact)
 from otslice.maxsliced import _patch_bounds
 from otslice.sliced import _projected_powers
 
@@ -99,3 +101,22 @@ class TestProjectionPaths:
         centers, _ = centers_and_caps(mu.dim, 0.1, np.random.default_rng(seed))
         f, _ = _patch_bounds(mu, nu, p, centers, np.full(centers.shape[0], 0.1))
         assert np.array_equal(f, _projected_powers(mu, nu, p, centers) ** (1 / p))
+
+
+class TestHeuristicChain:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=lattice_pairs(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           starts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_lower_between_axis_values_and_upper_bounds(self, pair, p, starts, seed):
+        # the ascent never ends below a start, and no lower bound passes the
+        # certified upper bound or W itself
+        mu, nu = pair
+        lower = max_sliced(mu, nu, p, starts=starts, seed=seed).lower
+        for e in np.eye(mu.dim):
+            assert lower >= projected_distance(mu, nu, p, e) * (1.0 - 1e-12)
+        try:
+            upper = max_sliced_certified(mu, nu, p, tol=1e-3, eval_budget=20_000).upper
+        except BudgetExceeded as exc:
+            upper = exc.result.upper
+        assert lower <= upper + 1e-9
+        assert lower <= wasserstein_exact(mu, nu, p).primal_value + 1e-9
