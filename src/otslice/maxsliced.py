@@ -95,6 +95,10 @@ def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, 
 
 
 _LADDER = 26  # the normalized gradient, then 25 halving tangent steps
+# Element cap on an ascent block's own arrays (ladders, gradient gathers): at
+# n = m = 1024 it keeps 11 starts in one lockstep block, while the block's
+# projected distances go through ``CHUNK_ELEMENTS`` chunks.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,7 +118,7 @@ def _ascent(mu, nu, p, starts, max_iters):
     candidates 0-1 of every live start in one batch, 2-25 in a second only
     for the starts where neither improved, and the gradients of the starts
     that moved in a third. Starts go through in blocks that keep each batch
-    near ``CHUNK_ELEMENTS``. ``evals`` counts a start and each candidate
+    near ``_BLOCK_ELEMENTS``. ``evals`` counts a start and each candidate
     evaluated for it. Start rows must be finite, nonzero and of length
     ``mu.dim`` (:class:`DimensionMismatch`).
     """
@@ -130,7 +134,7 @@ def _ascent(mu, nu, p, starts, max_iters):
     val = np.empty(v.shape[0])
     evals = np.ones(v.shape[0], dtype=np.int64)
     # a block's tail batch projects 24 rows per start, its gradients gather (n + m, d) per start
-    block = max(1, CHUNK_ELEMENTS // ((mu.n + nu.n) * max(_LADDER, d)))
+    block = max(1, _BLOCK_ELEMENTS // ((mu.n + nu.n) * max(_LADDER, d)))
     for s in range(0, v.shape[0], block):
         live = np.arange(s, min(s + block, v.shape[0]))
         val[live], grad = _gradients(mu, nu, p, v[live])
@@ -334,7 +338,7 @@ def max_sliced_certified(
     {v_k = 1}. The first level is the d whole faces, centred on the axis
     directions; each later level halves every surviving box across its
     longest side twice and evaluates all centers in vectorized chunks of
-    boxes, which keep each chunk's temporaries near ``CHUNK_ELEMENTS``.
+    boxes, which keep each of a chunk's arrays within ``CHUNK_ELEMENTS``.
     Each patch upper bound is the minimum of two valid cap bounds (step
     bounds the chord from the center to the box): the center pairing's
     bound from ``_patch_bounds`` and the pushed-optimal-coupling estimate
@@ -382,7 +386,7 @@ def max_sliced_certified(
     gap = 0.995 * tol  # slightly conservative so the final width meets tol strictly
     pruned_ceiling = -math.inf  # sup over discarded patches, always <= best + gap
 
-    # chunks of boxes keep the (boxes, n + m, d) temporaries under the cap
+    # chunks of boxes keep the (boxes, n + m, d) gathers of _patch_bounds within the cap
     rows = max(1, CHUNK_ELEMENTS // ((mu.n + nu.n) * d))
     for _ in range(200):
         centers, step = _box_geometry(lo, hi)

@@ -14,7 +14,10 @@ order. The single-measure functions (:func:`wasserstein_1d`,
 direction scans pair R rows of projected atoms through one kernel,
 :func:`_pairings`, which returns each row's W_p^p with its pairing;
 :func:`wasserstein_pp_batch` keeps only the value, and sorts equal-size
-uniform rows by value alone.
+uniform rows by value alone. The direction sweeps (``sliced._projected_powers``)
+call it on chunks of rows whose arrays hold at most 2^14 elements (128 KiB,
+glibc's initial mmap threshold), so its temporaries come from the heap
+rather than from fresh pages that fault in on every call.
 
 Quantile convention: the strict-exceedance inverse
 ``F^{-1}(t) = inf{x : mu((-inf, x]) > t}``. The distance is insensitive to
@@ -199,7 +202,9 @@ def _merge_cum(cx: np.ndarray, cy: np.ndarray):
     c = np.concatenate([cx, cy], axis=1)
     # timsort merges the two presorted runs: about twice as fast as _sorted_rows here
     order = np.argsort(c, axis=1, kind="stable")
-    mass = np.diff(_take_rows(c, order), axis=1, prepend=0.0)
+    # the breakpoint gaps, without the (R, n + m + 1) array that a prepended 0 would make
+    mass = _take_rows(c, order)
+    mass[:, 1:] = np.diff(mass, axis=1)
     from_x = order < n
     si = np.cumsum(from_x, axis=1)
     si -= from_x
@@ -268,14 +273,20 @@ def wasserstein_pp_batch(
     1D measures with weights ``wx`` and ``wy``. Same quantile convention as
     :func:`wasserstein_1d`; duplicate atoms need no merging because merging
     does not change the quantile function. Equal-size uniform rows pair
-    their sorted atoms directly, O(n log n) per row; other rows take the
-    value of :func:`_pairings`, O((n + m) log(n + m)) per row.
+    their sorted atoms directly, O(n log n) per row, and reduce the gaps in
+    the sorted copy of ``xs``: two temporaries, and the inputs stay
+    unchanged. Other rows take the value of :func:`_pairings`,
+    O((n + m) log(n + m)) per row.
     """
     _check_order(p)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if _equal_uniform(wx, wy):
         # value-only np.sort: several times faster than the index sorts a pairing needs
-        dx = np.sort(xs, axis=1) - np.sort(ys, axis=1)
-        return np.mean(np.abs(dx) ** p, axis=1)
+        dx = np.sort(xs, axis=1)
+        dx -= np.sort(ys, axis=1)
+        np.abs(dx, out=dx)
+        if p != 1:
+            dx **= p
+        return np.mean(dx, axis=1)
     return _pairings(xs, ys, wx, wy, p)[0]

@@ -211,7 +211,7 @@ class TestLockstep:
                 mu, nu = random_pair(rng, 3, max_atoms=15, weighted=weighted)
                 whole = max_sliced(mu, nu, p, starts=20, seed=5)
                 with monkeypatch.context() as m:
-                    m.setattr(maxsliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n) * 26)
+                    m.setattr(maxsliced, "_BLOCK_ELEMENTS", 3 * (mu.n + nu.n) * 26)
                     m.setattr(sliced, "CHUNK_ELEMENTS", 5 * (mu.n + nu.n))
                     split = max_sliced(mu, nu, p, starts=20, seed=5)
                 assert split.lower == pytest.approx(whole.lower, rel=1e-12, abs=0.0)
@@ -398,6 +398,24 @@ class TestCertified:
                 whole.lower, whole.upper, whole.evaluations
             )
             assert np.array_equal(split.v_star, whole.v_star)
+
+    def test_level_chunks_stay_within_budget(self, rng, monkeypatch):
+        # each chunk's (boxes, n + m, d) gathers hold at most CHUNK_ELEMENTS
+        mu = random_measure(rng, 3, max_atoms=200)
+        nu = random_measure(rng, 3, max_atoms=200)
+        seen = []
+
+        def record(mu, nu, p, centers, steps):
+            seen.append(centers.shape[0])
+            return bounds(mu, nu, p, centers, steps)
+
+        bounds = maxsliced._patch_bounds
+        monkeypatch.setattr(maxsliced, "_patch_bounds", record)
+        res = max_sliced_certified(mu, nu, 2.0, tol=1e-4)
+        assert sum(seen) == res.evaluations
+        rows = maxsliced.CHUNK_ELEMENTS // ((mu.n + nu.n) * 3)
+        # the levels outgrow one chunk, and no chunk is wider than the cap allows
+        assert max(seen) == rows and rows * (mu.n + nu.n) * 3 <= maxsliced.CHUNK_ELEMENTS
 
     def test_budget_exceeded_at_d5(self, rng):
         mu, nu = random_pair(rng, 5, max_atoms=10)

@@ -234,6 +234,34 @@ class TestBatchSweep:
                 assert batch[r] == pytest.approx(scalar**p, rel=1e-9, abs=1e-12)
 
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_inputs_unchanged(self, rng, weighted):
+        n, R = 11, 30
+        w = rng.dirichlet(np.ones(n)) if weighted else np.full(n, 1.0 / n)
+        xs = rng.standard_normal((R, n))
+        ys = rng.standard_normal((R, n))
+        xs0, ys0, w0 = xs.copy(), ys.copy(), w.copy()
+        for p in (1.0, 1.5, 2.0, 3.0):
+            wasserstein_pp_batch(xs, ys, w, w, p)
+            assert np.array_equal(xs, xs0) and np.array_equal(ys, ys0)
+            assert np.array_equal(w, w0)
+
+    def test_uniform_reduction_in_place(self, rng):
+        # the in-place subtract, abs and power give the bits of the out-of-place formula
+        n, R = 13, 40
+        w = np.full(n, 1.0 / n)
+        for scale in (1e-9, 1.0, 1e8):
+            for lattice in (False, True):
+                if lattice:
+                    xs, ys = (rng.integers(-4, 5, (R, n)) / 2 * scale for _ in range(2))
+                else:
+                    xs, ys = (rng.standard_normal((R, n)) * scale for _ in range(2))
+                for p in (1, 1.0, 1.5, 2, 2.0, 3.0):
+                    dx = np.sort(xs, axis=1) - np.sort(ys, axis=1)
+                    expected = np.mean(np.abs(dx) ** p, axis=1)
+                    assert np.array_equal(wasserstein_pp_batch(xs, ys, w, w, p), expected)
+
+
 def searchsorted_pp(x, y, wx, wy, p):
     """W_p^p of one row pair by a right-bisect of every merged breakpoint.
 

@@ -57,15 +57,62 @@ class TestSlicedBasics:
 
     def test_direction_chunks_change_nothing(self, rng, monkeypatch):
         # an equal-size uniform pair and a weighted one; a cap of 100 rows
-        # splits 1000 directions into 10 chunks
+        # splits 1000 directions into 10 chunks; p = 1 skips the uniform
+        # kernel's in-place power, p = 2 runs it
         uniform = tuple(make_discrete(rng.standard_normal((9, 3))) for _ in range(2))
         for mu, nu in (uniform, random_pair(rng, 3, max_atoms=12)):
             for scheme in (Scheme.quadrature(1000), Scheme.monte_carlo(1000, seed=2)):
-                whole = sliced_wasserstein(mu, nu, 1.5, scheme)
-                monkeypatch.setattr(sliced, "CHUNK_ELEMENTS", 100 * (mu.n + nu.n))
-                split = sliced_wasserstein(mu, nu, 1.5, scheme)
-                monkeypatch.undo()
-                assert (split.value, split.stderr) == (whole.value, whole.stderr)
+                for p in (1.0, 1.5, 2.0):
+                    whole = sliced_wasserstein(mu, nu, p, scheme)
+                    monkeypatch.setattr(sliced, "CHUNK_ELEMENTS", 100 * (mu.n + nu.n))
+                    split = sliced_wasserstein(mu, nu, p, scheme)
+                    monkeypatch.undo()
+                    assert (split.value, split.stderr) == (whole.value, whole.stderr)
+
+    @pytest.mark.parametrize("n, m, weighted", [(20, 30, True), (100, 130, True), (1024, 1024, False)])
+    def test_chunk_arrays_stay_within_budget(self, rng, monkeypatch, n, m, weighted):
+        # each chunk's widest kernel array is (rows, n + m); the budget keeps
+        # it at most 128 KiB, so it never takes fresh mmap pages
+        mu = make_discrete(rng.standard_normal((n, 3)), rng.dirichlet(np.ones(n)) if weighted else None)
+        nu = make_discrete(rng.standard_normal((m, 3)), rng.dirichlet(np.ones(m)) if weighted else None)
+        seen = []
+
+        def record(xs, ys, wx, wy, p):
+            seen.append((xs.shape[0], xs.nbytes, ys.nbytes))
+            return batch(xs, ys, wx, wy, p)
+
+        batch = sliced.wasserstein_pp_batch
+        monkeypatch.setattr(sliced, "wasserstein_pp_batch", record)
+        sliced_wasserstein(mu, nu, 2.0, Scheme.monte_carlo(4096, seed=3))
+        assert sliced.CHUNK_ELEMENTS * 8 <= 128 * 1024
+        assert sum(rows for rows, _, _ in seen) == 4096
+        assert len(seen) == -(-4096 // (sliced.CHUNK_ELEMENTS // (n + m)))
+        assert all(bx + by <= sliced.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
+
+    @pytest.mark.parametrize("n, m, weighted", [(25, 25, False), (1024, 1024, False), (20, 30, True)])
+    def test_trailing_one_row_chunk(self, rng, monkeypatch, n, m, weighted):
+        # R = 1 (mod rows): the last chunk is one row, which _projections
+        # sends through as two, so it rounds as it does inside a single chunk
+        mu = make_discrete(rng.standard_normal((n, 3)), rng.dirichlet(np.ones(n)) if weighted else None)
+        nu = make_discrete(rng.standard_normal((m, 3)), rng.dirichlet(np.ones(m)) if weighted else None)
+        rows = sliced.CHUNK_ELEMENTS // (n + m)
+        dirs = np.random.default_rng(4).standard_normal((3 * rows + 1, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        seen = []
+
+        def record(xs, ys, wx, wy, p):
+            seen.append(xs.shape[0])
+            return batch(xs, ys, wx, wy, p)
+
+        batch = sliced.wasserstein_pp_batch
+        with monkeypatch.context() as patch:
+            patch.setattr(sliced, "wasserstein_pp_batch", record)
+            split = sliced._projected_powers(mu, nu, 1.5, dirs)
+        assert seen == [rows, rows, rows, 1]
+        with monkeypatch.context() as patch:
+            patch.setattr(sliced, "CHUNK_ELEMENTS", dirs.shape[0] * (n + m))
+            whole = sliced._projected_powers(mu, nu, 1.5, dirs)
+        assert np.array_equal(split, whole)
 
     def test_d1_exact(self, rng):
         mu = random_measure(rng, 1)
