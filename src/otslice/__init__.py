@@ -45,14 +45,7 @@ from .ot1d import (
     wasserstein_pp_batch,
 )
 from .ot_exact import DualCertificate, TransportPlan, dual_potentials_w1, duality_gap, wasserstein_exact
-from .sphere import (
-    QuadratureGrid,
-    as_unit,
-    project,
-    quadrature_grid,
-    sample_uniform,
-    surface_area,
-)
+from .sphere import QuadratureGrid, as_unit, project, quadrature_grid, sample_uniform, surface_area
 from .sliced import Scheme, SlicedEstimate, default_scheme, sliced_wasserstein
 from .maxsliced import (
     DirectionResult,

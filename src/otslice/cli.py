@@ -25,7 +25,7 @@ from .errors import (
 from .measures import load_measure
 from .maxsliced import _check_starts, _check_tol, max_sliced, max_sliced_certified
 from .ot_exact import _certificate, _exact, dual_potentials_w1, wasserstein_exact
-from .sliced import Scheme, default_scheme, sliced_wasserstein
+from .sliced import Scheme, _check_scheme, default_scheme, sliced_wasserstein
 from .sphere import surface_area
 
 SCHEMA = 1
@@ -121,6 +121,8 @@ def cmd_dist(args) -> int:
     nu = load_measure(args.file_b)
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"{args.file_a} has dim {mu.dim}, {args.file_b} has dim {nu.dim}")
+    if "sw" in wanted and args.scheme is not None:
+        _check_scheme(args.scheme, mu.dim)  # before the W solve
     p = args.p
     metrics = {}
     plan = None

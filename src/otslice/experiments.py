@@ -20,6 +20,7 @@ that does not affect slope conclusions.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -200,15 +201,8 @@ def fit_rates(records: Sequence[ExperimentRecord]) -> list:
         y = np.log(np.asarray(means))
         slope, intercept = np.polyfit(x, y, 1)
         resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-        fits.append(
-            RateFit(
-                estimator=estimator,
-                slope=float(slope),
-                intercept=float(intercept),
-                residual=resid,
-                n_range=(ns[0], ns[-1]),
-            )
-        )
+        fits.append(RateFit(estimator=estimator, slope=float(slope), intercept=float(intercept),
+                            residual=resid, n_range=(ns[0], ns[-1])))
     return fits
 
 
@@ -306,23 +300,11 @@ def inequality_audit(
             violations.append("maxsw_le_w")
         if p == 2 and w > math.sqrt(d) * cert.upper + slack:
             violations.append("w_le_sqrtd_maxsw")
-        return AuditCell(
-            d=d,
-            p=p,
-            instance=k,
-            w=w,
-            sw_normalized=sw,
-            maxsw_lower=cert.lower,
-            maxsw_upper=cert.upper,
-            violations=violations,
-        )
+        return AuditCell(d=d, p=p, instance=k, w=w, sw_normalized=sw, maxsw_lower=cert.lower,
+                         maxsw_upper=cert.upper, violations=violations)
 
-    tasks = [
-        (di, pi, k)
-        for di in range(len(d_list))
-        for pi in range(len(p_list))
-        for k in range(instances_per_cell)
-    ]
+    tasks = list(itertools.product(range(len(d_list)), range(len(p_list)),
+                                   range(instances_per_cell)))
     cells = _parallel_map(run, tasks, threads)
     margins = [m for c in cells
                for m in (c.maxsw_upper + slack - c.sw_normalized, c.w + slack - c.maxsw_lower)]

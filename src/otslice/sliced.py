@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidSpec
 from .measures import DiscreteMeasure, _check_pair
 from .ot1d import to_measure1d, wasserstein_1d, wasserstein_pp_batch
-from .sphere import quadrature_grid, sample_uniform, surface_area
+from .sphere import _check_grid, quadrature_grid, sample_uniform, surface_area
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class SlicedEstimate:
     normalized: bool
 
 
-# Element cap on each per-chunk array of a batch of directions. 2^14 float64
+# Element cap on each per-chunk array of a batch of directions, the only memory
+# cap of every such batch (``_chunks`` reads it). 2^14 float64
 # are 128 KiB, glibc's initial mmap threshold, so chunk temporaries come from
 # the heap instead of fresh mmap pages that fault in on first touch and are
 # unmapped on free. A 4,096-direction SW call at d = 3 took a median 20,264
@@ -96,19 +97,41 @@ def _projections(measure: DiscreteMeasure, directions: np.ndarray) -> np.ndarray
     return directions @ measure.points.T
 
 
+def _chunks(count: int, width: int) -> list:
+    """Slices of ``count`` rows, each (rows, width) array within ``CHUNK_ELEMENTS``.
+
+    Every slice holds at least one row, and zero rows still give one (empty) slice.
+    """
+    rows = max(1, CHUNK_ELEMENTS // width)
+    return [slice(s, s + rows) for s in range(0, max(1, count), rows)]
+
+
 def _projected_powers(mu, nu, p, directions) -> np.ndarray:
     """Exact W_p^p between the projections of mu and nu along each row of ``directions``.
 
-    Rows go through in chunks of ``CHUNK_ELEMENTS // (n + m)`` (at least one),
-    projected row-major, so each array of a chunk, up to the kernel's
-    (rows, n + m) merge, holds at most ``CHUNK_ELEMENTS`` elements (128 KiB).
+    Rows go through in chunks of width n + m, projected row-major, so each
+    array of a chunk, up to the kernel's (rows, n + m) merge, holds at most
+    ``CHUNK_ELEMENTS`` elements (128 KiB).
     """
-    rows = max(1, CHUNK_ELEMENTS // (mu.n + nu.n))
-    chunks = [directions[s:s + rows] for s in range(0, max(1, directions.shape[0]), rows)]
     return np.concatenate([
-        wasserstein_pp_batch(_projections(mu, c), _projections(nu, c), mu.weights, nu.weights, p)
-        for c in chunks
+        wasserstein_pp_batch(_projections(mu, directions[c]), _projections(nu, directions[c]),
+                             mu.weights, nu.weights, p)
+        for c in _chunks(directions.shape[0], mu.n + nu.n)
     ])
+
+
+def _check_scheme(scheme: Scheme, d: int) -> None:
+    """Raise what :func:`sliced_wasserstein` raises for ``scheme`` at dimension d.
+
+    A Monte Carlo count below 2 fails at every d; d = 1 ignores all else (no grid).
+    """
+    if scheme.kind == "monte_carlo" and scheme.count < 2:
+        # one sample states no error and zero have no mean
+        raise InvalidSpec(f"Monte Carlo needs at least 2 directions, got {scheme.count}")
+    if d > 1 and scheme.kind == "quadrature":
+        _check_grid(d, scheme.resolution)
+    elif d > 1 and scheme.kind != "monte_carlo":
+        raise InvalidSpec(f"unknown scheme kind {scheme.kind!r}")
 
 
 def sliced_wasserstein(
@@ -126,9 +149,7 @@ def sliced_wasserstein(
     d = mu.dim
     if scheme is None:
         scheme = default_scheme(d)
-    if scheme.kind == "monte_carlo" and scheme.count < 2:
-        # one sample states no error and zero have no mean
-        raise InvalidSpec(f"Monte Carlo needs at least 2 directions, got {scheme.count}")
+    _check_scheme(scheme, d)
 
     if d == 1:
         # S^0 = {+1, -1}: both directions give the same distance, integrate exactly
@@ -138,10 +159,8 @@ def sliced_wasserstein(
 
     if scheme.kind == "quadrature":
         dirs = quadrature_grid(d, scheme.resolution).directions
-    elif scheme.kind == "monte_carlo":
-        dirs = sample_uniform(d, scheme.count, scheme.seed)
     else:
-        raise InvalidSpec(f"unknown scheme kind {scheme.kind!r}")
+        dirs = sample_uniform(d, scheme.count, scheme.seed)
     # every direction carries weight A_d / len(dirs), so the integral is a mean
     powers = _projected_powers(mu, nu, p, dirs)
     factor = 1.0 if normalized else surface_area(d)

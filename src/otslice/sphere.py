@@ -19,8 +19,6 @@ from .errors import DimensionMismatch, InvalidDimension, UnsupportedDimension
 from .measures import DiscreteMeasure, rng_stream
 from .ot1d import Measure1D, measure1d_from_samples
 
-UNIT_TOL = 1e-12
-
 
 def surface_area(d: int) -> float:
     """Total surface measure of S^{d-1}: 2 pi^{d/2} / Gamma(d/2).
@@ -72,6 +70,16 @@ class QuadratureGrid:
         self.weights.setflags(write=False)
 
 
+def _check_grid(d: int, resolution: int) -> None:
+    """Reject what :func:`quadrature_grid` cannot build: resolution < 1, or d outside {2, 3}."""
+    if resolution < 1:
+        raise InvalidDimension(f"resolution must be >= 1, got {resolution}")
+    if d not in (2, 3):
+        raise UnsupportedDimension(
+            f"deterministic grids exist for d in {{2, 3}}; use sample_uniform for d={d}"
+        )
+
+
 def quadrature_grid(d: int, resolution: int) -> QuadratureGrid:
     """Deterministic surface-integration grid for d in {2, 3}.
 
@@ -79,24 +87,19 @@ def quadrature_grid(d: int, resolution: int) -> QuadratureGrid:
     d = 3: Fibonacci spiral with equal weights 4 pi / resolution.
     For d >= 4 use Monte Carlo directions from :func:`sample_uniform`.
     """
-    if resolution < 1:
-        raise InvalidDimension(f"resolution must be >= 1, got {resolution}")
+    _check_grid(d, resolution)
     if d == 2:
         theta = 2.0 * math.pi * np.arange(resolution) / resolution
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(resolution, 2.0 * math.pi / resolution)
         return QuadratureGrid(directions=dirs, weights=weights)
-    if d == 3:
-        k = np.arange(resolution, dtype=float)
-        z = 1.0 - (2.0 * k + 1.0) / resolution  # midpoint rule in z
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        dirs = np.column_stack([r * np.cos(golden * k), r * np.sin(golden * k), z])
-        weights = np.full(resolution, 4.0 * math.pi / resolution)
-        return QuadratureGrid(directions=dirs, weights=weights)
-    raise UnsupportedDimension(
-        f"deterministic grids exist for d in {{2, 3}}; use sample_uniform for d={d}"
-    )
+    k = np.arange(resolution, dtype=float)
+    z = 1.0 - (2.0 * k + 1.0) / resolution  # midpoint rule in z
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    dirs = np.column_stack([r * np.cos(golden * k), r * np.sin(golden * k), z])
+    weights = np.full(resolution, 4.0 * math.pi / resolution)
+    return QuadratureGrid(directions=dirs, weights=weights)
 
 
 def project(mu: DiscreteMeasure, v) -> Measure1D:

@@ -73,6 +73,28 @@ class TestDist:
             assert main(["dist", str(a), str(b), "--metric", "sw", "--scheme", scheme]) == 2
             assert "InvalidSpec" in capsys.readouterr().err
 
+    def test_bad_scheme_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        # quad:64 on d = 4 files failed only inside sliced_wasserstein, after the W solve
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved before checking --scheme")
+
+        monkeypatch.setattr(cli, "wasserstein_exact", no_solve)
+        monkeypatch.setattr(cli, "_exact", no_solve)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_point(a, (0.0, 0.0, 0.0, 0.0))
+        write_point(b, (1.0, 0.0, 0.0, 0.0))
+        for scheme, error in (("quad:64", "UnsupportedDimension"), ("quad:0", "InvalidDimension"),
+                              ("mc:1", "InvalidSpec")):
+            for metric in ("all", "sw"):
+                assert main(["dist", str(a), str(b), "--metric", metric, "--scheme", scheme]) == 2
+                assert error in capsys.readouterr().err
+        # d = 1 integrates exactly and ignores the grid
+        write_point(a, (0.0,))
+        write_point(b, (2.0,))
+        monkeypatch.undo()
+        assert main(["dist", str(a), str(b), "--scheme", "quad:0"]) == 0
+        assert main(["dist", str(a), str(b), "--scheme", "mc:1"]) == 2
+
     def test_format_only_on_rates(self, pair_files, capsys):
         a, b = pair_files
         for argv in (["dist", str(a), str(b)], ["audit"], ["cdscan"]):

@@ -205,17 +205,56 @@ class TestLockstep:
         assert spread >= 12
 
     def test_split_batches_change_nothing(self, rng, monkeypatch):
-        # caps of 3 starts per lockstep block and 5 rows per ladder batch
+        # a cap of 3 starts per lockstep block, which also splits the ladder
+        # batches and the gradients into chunks of a few rows
         for p in (1.0, 2.0):
             for weighted in (False, True):
                 mu, nu = random_pair(rng, 3, max_atoms=15, weighted=weighted)
                 whole = max_sliced(mu, nu, p, starts=20, seed=5)
                 with monkeypatch.context() as m:
-                    m.setattr(maxsliced, "_BLOCK_ELEMENTS", 3 * (mu.n + nu.n) * 26)
-                    m.setattr(sliced, "CHUNK_ELEMENTS", 5 * (mu.n + nu.n))
+                    m.setattr(sliced, "CHUNK_ELEMENTS", 3 * 26 * 3)
                     split = max_sliced(mu, nu, p, starts=20, seed=5)
-                assert split.lower == pytest.approx(whole.lower, rel=1e-12, abs=0.0)
-                assert split.evaluations == whole.evaluations
+                assert (split.lower, split.evaluations) == (whole.lower, whole.evaluations)
+                assert np.array_equal(split.v_star, whole.v_star)
+
+    def test_gradient_chunks_stay_within_budget(self, rng, monkeypatch):
+        # the ascent's gradients gather (rows, n + m, d) per _pairings call
+        mu = make_discrete(rng.standard_normal((200, 3)))
+        nu = make_discrete(rng.standard_normal((200, 3)))
+        seen = []
+
+        def record(pa, pb, wa, wb, p):
+            seen.append(pa.shape[0])
+            return pairings(pa, pb, wa, wb, p)
+
+        pairings = maxsliced._pairings
+        monkeypatch.setattr(maxsliced, "_pairings", record)
+        max_sliced(mu, nu, 1.0, starts=40, seed=3)
+        rows = sliced.CHUNK_ELEMENTS // ((mu.n + nu.n) * 3)
+        # the 43 first gradients outgrow one chunk, and no chunk is wider than the cap allows
+        assert max(seen) == rows and rows * (mu.n + nu.n) * 3 <= sliced.CHUNK_ELEMENTS
+
+    def test_start_blocks_change_nothing(self, rng, monkeypatch):
+        # 303 starts at d = 3 run in blocks of 210 and 93, or in one under a wider cap;
+        # a block's first gradient batch holds all of its starts
+        mu, nu = random_pair(rng, 3, max_atoms=12)
+        seen = []
+
+        def record(mu, nu, p, dirs):
+            seen.append(dirs.shape[0])
+            return gradients(mu, nu, p, dirs)
+
+        gradients = maxsliced._gradients
+        monkeypatch.setattr(maxsliced, "_gradients", record)
+        split = max_sliced(mu, nu, 1.5, starts=300, seed=9)
+        assert sliced.CHUNK_ELEMENTS // (26 * 3) == 210 and max(seen) == 210 and 93 in seen
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sliced, "CHUNK_ELEMENTS", 303 * 26 * 3)
+            whole = max_sliced(mu, nu, 1.5, starts=300, seed=9)
+        assert seen[0] == 303
+        assert (split.lower, split.evaluations) == (whole.lower, whole.evaluations)
+        assert np.array_equal(split.v_star, whole.v_star)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_wrong_length_start_is_a_dimension_error(self, rng, d):
@@ -391,7 +430,7 @@ class TestCertified:
             mu, nu = random_pair(rng, 3, max_atoms=10)
             whole = max_sliced_certified(mu, nu, p, tol=1e-4)
             with monkeypatch.context() as m:
-                m.setattr(maxsliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n) * 3)
+                m.setattr(sliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n) * 3)
                 split = max_sliced_certified(mu, nu, p, tol=1e-4)
             assert whole.evaluations > 12
             assert (split.lower, split.upper, split.evaluations) == (
@@ -413,9 +452,9 @@ class TestCertified:
         monkeypatch.setattr(maxsliced, "_patch_bounds", record)
         res = max_sliced_certified(mu, nu, 2.0, tol=1e-4)
         assert sum(seen) == res.evaluations
-        rows = maxsliced.CHUNK_ELEMENTS // ((mu.n + nu.n) * 3)
+        rows = sliced.CHUNK_ELEMENTS // ((mu.n + nu.n) * 3)
         # the levels outgrow one chunk, and no chunk is wider than the cap allows
-        assert max(seen) == rows and rows * (mu.n + nu.n) * 3 <= maxsliced.CHUNK_ELEMENTS
+        assert max(seen) == rows and rows * (mu.n + nu.n) * 3 <= sliced.CHUNK_ELEMENTS
 
     def test_budget_exceeded_at_d5(self, rng):
         mu, nu = random_pair(rng, 5, max_atoms=10)

@@ -5,9 +5,12 @@ import pytest
 
 from otslice import (
     DimensionMismatch,
+    InvalidDimension,
     InvalidOrder,
     InvalidSpec,
+    OTSliceError,
     Scheme,
+    UnsupportedDimension,
     make_discrete,
     sliced_wasserstein,
     surface_area,
@@ -141,6 +144,33 @@ class TestSlicedBasics:
         mu = random_measure(rng, 2)
         with pytest.raises(InvalidSpec):
             sliced_wasserstein(mu, mu, 1.0, Scheme(kind="grid"))
+
+    def test_check_scheme_raises_as_sliced_wasserstein(self, rng):
+        # the check that `otslice dist` runs before any solve; d = 1 ignores the grid
+        def outcome(fn, *args):
+            try:
+                fn(*args)
+            except OTSliceError as exc:
+                return type(exc), str(exc)
+            return None
+
+        schemes = [Scheme.quadrature(r) for r in (-1, 0, 1, 64)]
+        schemes += [Scheme.monte_carlo(c) for c in (-3, 0, 1, 2)] + [Scheme(kind="grid")]
+        for d in (1, 2, 3, 4):
+            mu, nu = random_pair(rng, d, max_atoms=5)
+            for scheme in schemes:
+                got = outcome(sliced._check_scheme, scheme, d)
+                assert got == outcome(sliced_wasserstein, mu, nu, 1.0, scheme)
+                if scheme.kind == "monte_carlo":
+                    expected = InvalidSpec if scheme.count < 2 else None
+                elif d == 1:
+                    expected = None
+                elif scheme.kind != "quadrature":
+                    expected = InvalidSpec
+                else:
+                    expected = (InvalidDimension if scheme.resolution < 1
+                                else UnsupportedDimension if d == 4 else None)
+                assert (got and got[0]) == expected
 
 
 class TestMonteCarlo:
