@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -115,13 +116,12 @@ def cmd_dist(args) -> int:
         raise ValueError("--plan-out needs a metric that computes W (w or all)")
     if "maxsw" in wanted and args.certified:
         _check_tol(args.tol)  # before any file is loaded or solve runs
-    elif "maxsw" in wanted:
-        _check_starts(args.starts)
+    _check_starts(args.starts)  # a bad value is an error whether or not it is read
     mu = load_measure(args.file_a)
     nu = load_measure(args.file_b)
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"{args.file_a} has dim {mu.dim}, {args.file_b} has dim {nu.dim}")
-    if "sw" in wanted and args.scheme is not None:
+    if args.scheme is not None:
         _check_scheme(args.scheme, mu.dim)  # before the W solve
     p = args.p
     metrics = {}
@@ -172,7 +172,7 @@ def cmd_dist(args) -> int:
             res = max_sliced(mu, nu, p, starts=args.starts, seed=args.seed)
         metrics["maxsw"] = {
             "lower": res.lower,
-            "upper": res.upper,
+            "upper": res.upper if math.isfinite(res.upper) else None,  # heuristic: no bound
             "mode": res.mode,
             "direction": res.v_star.tolist(),
             "evaluations": res.evaluations,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
-from .ot1d import _pairings, to_measure1d, wasserstein_1d
+from .ot1d import _equal_uniform, _pairings, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, wasserstein_exact
 from .sliced import _chunks, _projected_powers, _projections
 from .sphere import as_unit, project
@@ -39,8 +39,9 @@ class DirectionResult:
     """A direction with its projected distance and an enclosure bracket.
 
     ``lower`` is the exact projected distance the search computed at ``v_star``
-    (a valid lower bound on the max-sliced distance); ``upper`` equals ``lower``
-    in heuristic mode and is a certified global upper bound in certified mode.
+    (a valid lower bound on the max-sliced distance); ``upper`` is a certified
+    global upper bound in certified mode, and ``math.inf`` in heuristic mode
+    at d >= 2, since an ascent bounds nothing from above (d = 1 is exact).
     ``evaluations`` counts projected distances: in heuristic mode, summed over
     the starts (which run in lockstep, each with its own count), one per start
     plus the ladder candidates it evaluated (2 per iteration, 26 when neither
@@ -72,18 +73,23 @@ def _gradients(mu, nu, p, dirs):
     Each subgradient is assembled from the row's monotone coupling:
     sum mass * p * |v.(x_i - y_j)|^(p-1) * sign(v.(x_i - y_j)) * (x_i - y_j).
     At directions with ties in the projected sort order this is one valid
-    choice among several. A row's result does not depend on the other rows
-    of the batch: the projections round alike for any row count, and the
-    sums run row by row, in ``_chunks`` of width (n + m) * d (a row's gather).
+    choice among several. The sums run row by row, so the other rows of the
+    batch reach a row's result only through its projection, which may round
+    otherwise for another chunk row count (``sliced._projections``). Rows are
+    paired in ``_chunks`` of width n + m, and each chunk's (rows, n or n + m,
+    d) coupling is gathered in sub-chunks of width (n + m) * d.
     """
+    uniform = _equal_uniform(mu.weights, nu.weights)
     value, grad = np.empty(dirs.shape[0]), np.empty(dirs.shape)
-    for c in _chunks(dirs.shape[0], (mu.n + nu.n) * mu.dim):
+    for c in _chunks(dirs.shape[0], mu.n + nu.n):
         pa, pb = _projections(mu, dirs[c]), _projections(nu, dirs[c])
-        value[c], t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p)
+        value[c], t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p, uniform)
         coeff = mass * p * np.abs(t) ** (p - 1.0) * np.sign(t)
-        # np.take gathers the same rows about three times as fast as points[i]
-        diff = np.take(mu.points, i, axis=0) - np.take(nu.points, j, axis=0)
-        grad[c] = np.matmul(coeff[:, None], diff)[:, 0]
+        out = grad[c]
+        for s in _chunks(t.shape[0], (mu.n + nu.n) * mu.dim):
+            # np.take gathers the same rows about three times as fast as points[i]
+            diff = np.take(mu.points, i[s], axis=0) - np.take(nu.points, j[s], axis=0)
+            out[s] = np.matmul(coeff[s, None], diff)[:, 0]
     return value, grad
 
 
@@ -111,11 +117,12 @@ def _ascent(mu, nu, p, starts, max_iters):
     """Backtracking subgradient ascent from each row of ``starts``, in lockstep.
 
     Returns (directions, W_p^p, evals), one entry per start, each as if the
-    start ran alone. A start's ladder is the normalized gradient (the eta ->
-    inf limit), then v + eta0 2^-k tangent, normalized, for k = 0..24; it
-    moves to the first candidate in ladder order that beats
-    val + 1e-14 (1 + |val|), and stops when its gradient is 0, when none
-    does, or after ``max_iters`` iterations. An iteration evaluates
+    start ran alone wherever its projections round alike in batches of any
+    row count (``sliced._projections``). A start's ladder is the normalized
+    gradient (the eta -> inf limit), then v + eta0 2^-k tangent, normalized,
+    for k = 0..24; it moves to the first candidate in ladder order that
+    beats val + 1e-14 (1 + |val|), and stops when its gradient is 0, when
+    none does, or after ``max_iters`` iterations. An iteration evaluates
     candidates 0-1 of every live start in one batch, 2-25 in a second only
     for the starts where neither improved, and the gradients of the starts
     that moved in a third. Starts go through in ``_chunks`` of width
@@ -218,7 +225,7 @@ def max_sliced(
     computed (the first such start), to the power 1/p. ``evaluations`` sums
     one projected distance per start and the ladder candidates each of its
     iterations evaluated: the first 2 of its (up to 26) directions, plus the
-    other 24 when neither of those improves.
+    other 24 when neither of those improves. At d >= 2 ``upper`` is ``math.inf``.
     """
     _check_pair(mu, nu, p)
     _check_starts(starts)
@@ -234,7 +241,7 @@ def max_sliced(
     k = int(np.argmax(val))
     lower = float(val[k]) ** (1.0 / p)
     return DirectionResult(
-        v_star=v[k], lower=lower, upper=lower, evaluations=int(evals.sum()), mode="heuristic"
+        v_star=v[k], lower=lower, upper=math.inf, evaluations=int(evals.sum()), mode="heuristic"
     )
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,8 @@ def _patch_bounds(mu, nu, p, centers, steps):
     f + step * dc.
     """
     pa, pb = _projections(mu, centers), _projections(nu, centers)
-    f_pp, t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p)
+    f_pp, t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p,
+                                    _equal_uniform(mu.weights, nu.weights))
     diff = np.take(mu.points, i, axis=0) - np.take(nu.points, j, axis=0)
     znorm = np.linalg.norm(diff, axis=2)
     f = f_pp ** (1.0 / p)

@@ -16,8 +16,9 @@ direction scans pair R rows of projected atoms through one kernel,
 :func:`wasserstein_pp_batch` keeps only the value, and sorts equal-size
 uniform rows by value alone. The direction sweeps (``sliced._projected_powers``)
 call it on chunks of rows whose arrays hold at most 2^14 elements (128 KiB,
-glibc's initial mmap threshold), so its temporaries come from the heap
-rather than from fresh pages that fault in on every call.
+glibc's initial mmap threshold): (rows, n) for equal-size uniform rows,
+(rows, n + m) for the merge of other rows. So its temporaries come from the
+heap rather than from fresh pages that fault in on every call.
 
 Quantile convention: the strict-exceedance inverse
 ``F^{-1}(t) = inf{x : mu((-inf, x]) > t}``. The distance is insensitive to
@@ -151,7 +152,7 @@ def wasserstein_1d(mu: Measure1D, nu: Measure1D, p: float) -> float:
 
 def _equal_uniform(wx: np.ndarray, wy: np.ndarray) -> bool:
     """Equal-size uniform weights: the monotone coupling pairs sorted atoms one to one."""
-    return wx.shape[0] == wy.shape[0] and bool(np.all(wx == wx[0])) and bool(np.all(wy == wy[0]))
+    return wx.shape[0] == wy.shape[0] and bool((wx == wx[0]).all()) and bool((wy == wy[0]).all())
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -186,26 +187,33 @@ def _sorted_rows(a: np.ndarray):
 def _merge_cum(cx: np.ndarray, cy: np.ndarray):
     """Monotone merge of cumulative-weight rows ``cx`` (R, n) and ``cy`` (R, m).
 
-    Each row holds the cumulative weights of a sorted support and ends at
-    exactly 1; rounding may leave an earlier entry just above 1, which the
-    index clips absorb. Returns ``(mass, si, sj)``, each (R, n + m): on
-    segment k of row r the quantiles are sorted atom ``si[r, k]`` of x and
-    ``sj[r, k]`` of y. One stable argsort of ``[cx, cy]`` lists the
-    breakpoints of both rows in order. The count of x breakpoints before
-    position k is the sorted x atom in force on segment k, and the y
-    breakpoints give j likewise; on every segment of positive mass these
-    counts equal the number of breakpoints at or below its left edge, which
-    is what a right-bisect finds. Ties leave segments of zero mass.
+    Each row holds the cumulative weights of a sorted support; its last
+    entry is taken as exactly 1, and rounding may leave an earlier entry
+    just above 1, which the index clips absorb. A caller that passes ``cx``
+    and ``cy`` unnamed lets them be freed once concatenated. Returns
+    ``(mass, si, sj)``, each (R, n + m): on segment k of row r the quantiles
+    are sorted atom ``si[r, k]`` of x and ``sj[r, k]`` of y. One stable
+    argsort of ``[cx, cy]`` lists the breakpoints of both rows in order.
+    The count of x breakpoints before position k is the sorted x atom in
+    force on segment k, and the y breakpoints give j likewise; on every
+    segment of positive mass these counts equal the number of breakpoints
+    at or below its left edge, which is what a right-bisect finds. Ties
+    leave segments of zero mass.
     """
     n = cx.shape[1]
     m = cy.shape[1]
     c = np.concatenate([cx, cy], axis=1)
+    # each array is dropped once used, so fewer (R, n + m) arrays are alive at once
+    del cx, cy
+    c[:, [n - 1, -1]] = 1.0
     # timsort merges the two presorted runs: about twice as fast as _sorted_rows here
     order = np.argsort(c, axis=1, kind="stable")
     # the breakpoint gaps, without the (R, n + m + 1) array that a prepended 0 would make
     mass = _take_rows(c, order)
+    del c
     mass[:, 1:] = np.diff(mass, axis=1)
     from_x = order < n
+    del order
     si = np.cumsum(from_x, axis=1)
     si -= from_x
     sj = np.arange(n + m) - si
@@ -220,31 +228,28 @@ def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarra
     Returns ``(mass, i, j)``, each (R, n + m): segment k of row r pairs atom
     ``i[r, k]`` of x with atom ``j[r, k]`` of y (original indices) with mass
     ``mass[r, k]``, zero on ties. The cumulative weights are ``cumsum`` in
-    stably sorted order, snapped to end at 1, and go through
-    :func:`_merge_cum`. Per row this costs O((n + m) log(n + m)) time and
-    O(n + m) memory.
+    stably sorted order and go through :func:`_merge_cum` unnamed, which
+    snaps them to end at 1 and frees them once merged. Per row this costs
+    O((n + m) log(n + m)) time and O(n + m) memory.
     """
     ox, _ = _sorted_rows(xs)
     oy, _ = _sorted_rows(ys)
-    cx = np.cumsum(wx[ox], axis=1)
-    cy = np.cumsum(wy[oy], axis=1)
-    cx[:, -1] = 1.0
-    cy[:, -1] = 1.0
-    mass, si, sj = _merge_cum(cx, cy)
+    mass, si, sj = _merge_cum(np.cumsum(wx[ox], axis=1), np.cumsum(wy[oy], axis=1))
     return mass, _take_rows(ox, si), _take_rows(oy, sj)
 
 
-def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p: float):
+def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p: float,
+              uniform: bool):
     """W_p^p between rows of ``xs`` and ``ys`` and the monotone pairing that gives it.
 
     Returns ``(value, t, mass, i, j)``: row r pairs atom ``i[r, k]`` of x with
     atom ``j[r, k]`` of y with mass ``mass[r, k]`` across the gap ``t[r, k]``.
-    Equal-size uniform rows pair their stably sorted atoms one to one with
-    mass 1/n and ``value`` is the mean of |t|^p; other rows go through
+    ``uniform`` is the caller's ``_equal_uniform(wx, wy)``, decided once per
+    sweep. Equal-size uniform rows pair their stably sorted atoms one to one
+    with mass 1/n and ``value`` is the mean of |t|^p; other rows go through
     :func:`_monotone_rows` (rows may hold segments of zero mass) and
     ``value`` is sum mass |t|^p.
     """
-    uniform = _equal_uniform(wx, wy)
     if uniform:
         # _sorted_rows: 240 us for the 11 x 1024 gradient batch of an ascent, 870 us stable
         # (2-vCPU Xeon); on one row of 128 a stable argsort is faster, 6 against 22 us
@@ -256,7 +261,7 @@ def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p:
         mass, i, j = _monotone_rows(xs, ys, wx, wy)
         t = _take_rows(xs, i) - _take_rows(ys, j)
     cost = np.abs(t) ** p
-    value = np.mean(cost, axis=1) if uniform else np.sum(mass * cost, axis=1)
+    value = np.add.reduce(cost, axis=1) / t.shape[1] if uniform else np.sum(mass * cost, axis=1)
     return value, t, mass, i, j
 
 
@@ -288,5 +293,6 @@ def wasserstein_pp_batch(
         np.abs(dx, out=dx)
         if p != 1:
             dx **= p
-        return np.mean(dx, axis=1)
-    return _pairings(xs, ys, wx, wy, p)[0]
+        # what np.mean computes, without its Python wrapper
+        return np.add.reduce(dx, axis=1) / dx.shape[1]
+    return _pairings(xs, ys, wx, wy, p, False)[0]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .measures import DiscreteMeasure, _check_pair
-from .ot1d import to_measure1d, wasserstein_1d, wasserstein_pp_batch
+from .ot1d import _equal_uniform, to_measure1d, wasserstein_1d, wasserstein_pp_batch
 from .sphere import _check_grid, quadrature_grid, sample_uniform, surface_area
 
 
@@ -88,9 +88,11 @@ CHUNK_ELEMENTS = 1 << 14
 def _projections(measure: DiscreteMeasure, directions: np.ndarray) -> np.ndarray:
     """(R, n) projections, row-major so that row sorts read contiguous memory.
 
-    A row rounds alike for every R: one row alone would take another BLAS
-    kernel, which rounds about a quarter of the entries otherwise, so it goes
-    through twice.
+    One row alone would take another BLAS kernel, which rounds about a
+    quarter of the entries otherwise, so it goes through twice. A row can
+    still round otherwise in batches of other row counts: with OpenBLAS at
+    n = 300, rows of R >= 16 differ in the last bit from the same rows one
+    at a time (not at n = 128 or 1024).
     """
     if directions.shape[0] == 1:
         return (np.vstack([directions, directions]) @ measure.points.T)[:1]
@@ -109,14 +111,17 @@ def _chunks(count: int, width: int) -> list:
 def _projected_powers(mu, nu, p, directions) -> np.ndarray:
     """Exact W_p^p between the projections of mu and nu along each row of ``directions``.
 
-    Rows go through in chunks of width n + m, projected row-major, so each
-    array of a chunk, up to the kernel's (rows, n + m) merge, holds at most
-    ``CHUNK_ELEMENTS`` elements (128 KiB).
+    Rows go through in chunks as wide as the kernel's widest array, projected
+    row-major, so each array of a chunk holds at most ``CHUNK_ELEMENTS``
+    elements (128 KiB): width n for equal-size uniform pairs, whose kernel
+    holds only (rows, n) projections and sorted copies, and n + m, the merge,
+    for other pairs.
     """
+    width = mu.n if _equal_uniform(mu.weights, nu.weights) else mu.n + nu.n
     return np.concatenate([
         wasserstein_pp_batch(_projections(mu, directions[c]), _projections(nu, directions[c]),
                              mu.weights, nu.weights, p)
-        for c in _chunks(directions.shape[0], mu.n + nu.n)
+        for c in _chunks(directions.shape[0], width)
     ])
 
 

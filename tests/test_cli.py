@@ -183,6 +183,30 @@ class TestDist:
             assert main(["dist", str(a), str(b), "--metric", metric, "--starts", "0"]) == 2
             assert "InvalidOrder: starts must be >= 1" in capsys.readouterr().err
 
+    def test_unread_starts_and_scheme_rejected_before_solving(self, pair_files, monkeypatch,
+                                                              capsys):
+        # metrics that read neither flag exited 0 with either value bad
+        def no_solve(*args, **kwargs):
+            pytest.fail("solved before checking --starts and --scheme")
+
+        for name in ("wasserstein_exact", "_exact", "max_sliced_certified"):
+            monkeypatch.setattr(cli, name, no_solve)
+        a, b = pair_files
+        for flags, error in ((["--metric", "w", "--starts", "0"], "InvalidOrder"),
+                             (["--metric", "w", "--scheme", "quad:0"], "InvalidDimension"),
+                             (["--metric", "maxsw", "--certified", "--starts", "0"],
+                              "InvalidOrder")):
+            assert main(["dist", str(a), str(b), *flags]) == 2
+            assert error in capsys.readouterr().err
+
+    def test_heuristic_upper_is_null(self, pair_files, tmp_path):
+        a, b = pair_files
+        out = tmp_path / "r.json"
+        assert main(["dist", str(a), str(b), "--metric", "maxsw", "--out", str(out)]) == 0
+        entry = json.loads(out.read_text())["metrics"]["maxsw"]
+        assert entry["mode"] == "heuristic" and entry["upper"] is None
+        assert entry["lower"] == pytest.approx(1.0, rel=1e-12)
+
     def test_non_positive_tol_rejected_before_loading(self, pair_files, monkeypatch, capsys):
         # --certified --tol 0 used to load both files and solve W and SW first
         def no_call(*args, **kwargs):

@@ -218,21 +218,31 @@ class TestLockstep:
                 assert np.array_equal(split.v_star, whole.v_star)
 
     def test_gradient_chunks_stay_within_budget(self, rng, monkeypatch):
-        # the ascent's gradients gather (rows, n + m, d) per _pairings call
+        # the ascent's gradients pair (rows, n + m) chunks and gather each
+        # chunk's (rows, n, d) coupling in sub-chunks that fit the cap
         mu = make_discrete(rng.standard_normal((200, 3)))
         nu = make_discrete(rng.standard_normal((200, 3)))
-        seen = []
+        seen, gathers = [], []
 
-        def record(pa, pb, wa, wb, p):
+        def record(pa, pb, wa, wb, p, uniform):
             seen.append(pa.shape[0])
-            return pairings(pa, pb, wa, wb, p)
+            return pairings(pa, pb, wa, wb, p, uniform)
 
-        pairings = maxsliced._pairings
+        def record_take(a, idx, *args, **kwargs):
+            out = take(a, idx, *args, **kwargs)
+            if kwargs.get("axis") == 0:
+                gathers.append(out.size)
+            return out
+
+        pairings, take = maxsliced._pairings, np.take
         monkeypatch.setattr(maxsliced, "_pairings", record)
+        monkeypatch.setattr(np, "take", record_take)
         max_sliced(mu, nu, 1.0, starts=40, seed=3)
-        rows = sliced.CHUNK_ELEMENTS // ((mu.n + nu.n) * 3)
+        monkeypatch.undo()
+        rows = sliced.CHUNK_ELEMENTS // (mu.n + nu.n)
         # the 43 first gradients outgrow one chunk, and no chunk is wider than the cap allows
-        assert max(seen) == rows and rows * (mu.n + nu.n) * 3 <= sliced.CHUNK_ELEMENTS
+        assert max(seen) == rows and rows * (mu.n + nu.n) <= sliced.CHUNK_ELEMENTS
+        assert gathers and max(gathers) <= sliced.CHUNK_ELEMENTS
 
     def test_start_blocks_change_nothing(self, rng, monkeypatch):
         # 303 starts at d = 3 run in blocks of 210 and 93, or in one under a wider cap;
@@ -301,7 +311,7 @@ class TestHeuristic:
         res = max_sliced(a, b, 1.0, starts=4, seed=0)
         assert res.lower == pytest.approx(math.hypot(2.0, 3.0), abs=1e-8)
         assert res.mode == "heuristic"
-        assert res.upper == res.lower
+        assert res.upper == math.inf  # an ascent bounds nothing from above
 
     def test_dominates_axis_projections(self, rng):
         for _ in range(10):

@@ -59,9 +59,9 @@ class TestSlicedBasics:
             )
 
     def test_direction_chunks_change_nothing(self, rng, monkeypatch):
-        # an equal-size uniform pair and a weighted one; a cap of 100 rows
-        # splits 1000 directions into 10 chunks; p = 1 skips the uniform
-        # kernel's in-place power, p = 2 runs it
+        # an equal-size uniform pair and a weighted one; a cap of 100 (n + m)
+        # splits 1000 directions into 5 uniform chunks (width n) or 10 weighted
+        # ones; p = 1 skips the uniform kernel's in-place power, p = 2 runs it
         uniform = tuple(make_discrete(rng.standard_normal((9, 3))) for _ in range(2))
         for mu, nu in (uniform, random_pair(rng, 3, max_atoms=12)):
             for scheme in (Scheme.quadrature(1000), Scheme.monte_carlo(1000, seed=2)):
@@ -74,8 +74,9 @@ class TestSlicedBasics:
 
     @pytest.mark.parametrize("n, m, weighted", [(20, 30, True), (100, 130, True), (1024, 1024, False)])
     def test_chunk_arrays_stay_within_budget(self, rng, monkeypatch, n, m, weighted):
-        # each chunk's widest kernel array is (rows, n + m); the budget keeps
-        # it at most 128 KiB, so it never takes fresh mmap pages
+        # each chunk's widest kernel array is (rows, n + m) for weighted rows and
+        # (rows, n) for equal-size uniform ones; the budget keeps it at most
+        # 128 KiB, so it never takes fresh mmap pages
         mu = make_discrete(rng.standard_normal((n, 3)), rng.dirichlet(np.ones(n)) if weighted else None)
         nu = make_discrete(rng.standard_normal((m, 3)), rng.dirichlet(np.ones(m)) if weighted else None)
         seen = []
@@ -89,8 +90,12 @@ class TestSlicedBasics:
         sliced_wasserstein(mu, nu, 2.0, Scheme.monte_carlo(4096, seed=3))
         assert sliced.CHUNK_ELEMENTS * 8 <= 128 * 1024
         assert sum(rows for rows, _, _ in seen) == 4096
-        assert len(seen) == -(-4096 // (sliced.CHUNK_ELEMENTS // (n + m)))
-        assert all(bx + by <= sliced.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
+        width = n + m if weighted else n
+        assert len(seen) == -(-4096 // (sliced.CHUNK_ELEMENTS // width))
+        if weighted:
+            assert all(bx + by <= sliced.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
+        else:
+            assert all(max(bx, by) <= sliced.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
 
     @pytest.mark.parametrize("n, m, weighted", [(25, 25, False), (1024, 1024, False), (20, 30, True)])
     def test_trailing_one_row_chunk(self, rng, monkeypatch, n, m, weighted):
@@ -98,7 +103,7 @@ class TestSlicedBasics:
         # sends through as two, so it rounds as it does inside a single chunk
         mu = make_discrete(rng.standard_normal((n, 3)), rng.dirichlet(np.ones(n)) if weighted else None)
         nu = make_discrete(rng.standard_normal((m, 3)), rng.dirichlet(np.ones(m)) if weighted else None)
-        rows = sliced.CHUNK_ELEMENTS // (n + m)
+        rows = sliced.CHUNK_ELEMENTS // (n + m if weighted else n)
         dirs = np.random.default_rng(4).standard_normal((3 * rows + 1, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         seen = []
