@@ -59,16 +59,18 @@ def _emit(report: dict, args) -> None:
     print(text)
 
 
-def _apply_config(args) -> None:
-    """Fill unset flags from a JSON config file; explicit flags win.
+def _apply_config(args) -> dict:
+    """Flag values from a JSON config file, converted, keyed by destination.
 
-    Each value goes through its flag's own ``type`` as the command line
-    would: a string as it stands, a JSON number or list as its JSON text.
-    A switch takes a JSON boolean, an untyped flag a string among its
-    ``choices``. A value of the wrong kind raises ValueError (exit 2).
+    ``main`` makes them the subcommand's defaults, so flags given on the
+    command line win. Each value goes through its flag's own ``type`` as the
+    command line would: a string as it stands, a JSON number or list as its
+    JSON text. A switch takes a JSON boolean, an untyped flag a string among
+    its ``choices``. A value of the wrong kind raises ValueError (exit 2).
     """
+    values = {}
     if not args.config:
-        return
+        return values
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -79,8 +81,6 @@ def _apply_config(args) -> None:
         action = flags.get(key.replace("-", "_"))
         if action is None:
             sub.error(f"unknown config key {key!r}")
-        if getattr(args, action.dest) is not None:
-            continue
         if action.type is not None:
             try:
                 value = action.type(value if isinstance(value, str) else json.dumps(value))
@@ -89,13 +89,8 @@ def _apply_config(args) -> None:
         kind = bool if action.nargs == 0 else str if action.type is None else object
         if not isinstance(value, kind) or (action.choices and value not in action.choices):
             raise ValueError(f"config key {key!r}: invalid value {value!r}")
-        setattr(args, action.dest, value)
-
-
-def _fill_defaults(args, defaults: dict) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        values[action.dest] = value
+    return values
 
 
 def _dump_plan(path, plan, header: dict) -> None:
@@ -299,63 +294,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+        sp.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
         sp.add_argument("--out", default=None, help="output path / prefix")
-        sp.add_argument("--threads", type=int, default=None, help="worker cap (default: cores)")
+        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker cap (default: cores)")
         sp.add_argument("--config", default=None, help="JSON config file, overridden by flags")
         sp.set_defaults(parser=sp)
 
     sp = sub.add_parser("dist", help="distances between two point-cloud files")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
-    sp.add_argument("--p", type=float, default=None, help="order (default 1)")
-    sp.add_argument("--metric", choices=("w", "sw", "maxsw", "all"), default=None)
+    sp.add_argument("--p", type=float, default=1.0, help="order (default 1)")
+    sp.add_argument("--metric", choices=("w", "sw", "maxsw", "all"), default="all")
     sp.add_argument("--scheme", type=_parse_scheme, default=None, help="quad:RES or mc:N")
-    sp.add_argument("--starts", type=int, default=None, help="ascent restarts (default 8)")
-    sp.add_argument("--tol", type=float, default=None, help="certified bracket width (default 1e-6)")
-    sp.add_argument("--certified", action="store_true", default=None,
-                    help="certified max-sliced bracket")
-    sp.add_argument("--dual", action="store_true", default=None,
-                    help="report p=1 dual value and gap")
+    sp.add_argument("--starts", type=int, default=8, help="ascent restarts (default 8)")
+    sp.add_argument("--tol", type=float, default=1e-6, help="certified bracket width (default 1e-6)")
+    sp.add_argument("--certified", action="store_true", help="certified max-sliced bracket")
+    sp.add_argument("--dual", action="store_true", help="report p=1 dual value and gap")
     sp.add_argument("--plan-out", default=None, help="dump the optimal plan as CSV")
     common(sp)
-    sp.set_defaults(
-        fn=cmd_dist,
-        defaults={"p": 1.0, "metric": "all", "starts": 8, "tol": 1e-6,
-                  "certified": False, "dual": False},
-    )
+    sp.set_defaults(fn=cmd_dist)
 
     sp = sub.add_parser("rates", help="two-sample empirical convergence rates")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--n-list", type=_parse_int_list, default=None)
-    sp.add_argument("--reps", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default=None,
+    sp.add_argument("--d", type=int, default=3)
+    sp.add_argument("--n-list", type=_parse_int_list, default=[64, 128, 256, 512, 1024])
+    sp.add_argument("--reps", type=int, default=20)
+    sp.add_argument("--p", type=float, default=1.0)
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="csv also writes the records as OUT.csv")
     common(sp)
-    sp.set_defaults(
-        fn=cmd_rates,
-        defaults={"d": 3, "n_list": [64, 128, 256, 512, 1024], "reps": 20, "p": 1.0,
-                  "format": "json"},
-    )
+    sp.set_defaults(fn=cmd_rates)
 
     sp = sub.add_parser("audit", help="sandwich-inequality audit over random instances")
-    sp.add_argument("--d-list", type=_parse_int_list, default=None)
-    sp.add_argument("--p-list", type=_parse_float_list, default=None)
-    sp.add_argument("--instances", type=int, default=None, help="instances per (d, p) cell")
-    sp.add_argument("--tol", type=float, default=None, help="certified bracket width")
+    sp.add_argument("--d-list", type=_parse_int_list, default=[2, 3])
+    sp.add_argument("--p-list", type=_parse_float_list, default=[1.0, 2.0])
+    sp.add_argument("--instances", type=int, default=25, help="instances per (d, p) cell")
+    sp.add_argument("--tol", type=float, default=1e-4, help="certified bracket width")
     common(sp)
-    sp.set_defaults(
-        fn=cmd_audit,
-        defaults={"d_list": [2, 3], "p_list": [1.0, 2.0], "instances": 25, "tol": 1e-4},
-    )
+    sp.set_defaults(fn=cmd_audit)
 
     sp = sub.add_parser("cdscan", help="empirical lower bound for the W <= C * maxSW constant")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--instances", type=int, default=None)
+    sp.add_argument("--d", type=int, default=2)
+    sp.add_argument("--p", type=float, default=1.0)
+    sp.add_argument("--instances", type=int, default=100)
     common(sp)
-    sp.set_defaults(fn=cmd_cdscan, defaults={"d": 2, "p": 1.0, "instances": 100})
+    sp.set_defaults(fn=cmd_cdscan)
 
     return parser
 
@@ -364,9 +347,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
-        _fill_defaults(args, args.defaults)
-        _fill_defaults(args, {"seed": 0, "threads": os.cpu_count() or 1})
+        values = _apply_config(args)
+        if values:
+            args.parser.set_defaults(**values)
+            args = parser.parse_args(argv)
         return args.fn(args)
     except OTSliceError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

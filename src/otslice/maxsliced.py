@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
 from .ot1d import _equal_uniform, _pairings, to_measure1d, wasserstein_1d
-from .ot_exact import TransportPlan, wasserstein_exact
+from .ot_exact import TransportPlan, _cost_matrix, wasserstein_exact
 from .sliced import _chunks, _projected_powers, _projections
 from .sphere import as_unit, project
 
@@ -67,29 +67,42 @@ def _check_rows(dirs: np.ndarray, d: int) -> None:
         raise DimensionMismatch(f"direction rows have shape {dirs.shape}, measure has dim {d}")
 
 
+def _push(w, i, j, mu, nu):
+    """Per row r, sum_k w[r, k] (x_{i[r, k]} - y_{j[r, k]}), through the atoms.
+
+    One bincount adds each segment's weight onto its atom, into a (rows, n)
+    and a (rows, m) array, and each row is multiplied alone, so its result
+    does not depend on the rows beside it. ``i`` and ``j`` get row offsets
+    added in place and taken out again, as ``ot1d._take_rows`` does.
+    """
+    out = []
+    for idx, m in ((i, mu), (j, nu)):
+        offsets = np.arange(0, idx.shape[0] * m.n, m.n)[:, None]
+        idx += offsets
+        a = np.bincount(idx.ravel(), weights=w.ravel(), minlength=offsets.size * m.n)
+        idx -= offsets
+        out.append(np.matmul(a.reshape(-1, 1, m.n), m.points)[:, 0])
+    return out[0] - out[1]
+
+
 def _gradients(mu, nu, p, dirs):
     """W_p(mu_v, nu_v)^p and its ambient subgradient for each row v of ``dirs``.
 
     Each subgradient is assembled from the row's monotone coupling:
     sum mass * p * |v.(x_i - y_j)|^(p-1) * sign(v.(x_i - y_j)) * (x_i - y_j).
     At directions with ties in the projected sort order this is one valid
-    choice among several. The sums run row by row, so the other rows of the
-    batch reach a row's result only through its projection, which may round
-    otherwise for another chunk row count (``sliced._projections``). Rows are
-    paired in ``_chunks`` of width n + m, and each chunk's (rows, n or n + m,
-    d) coupling is gathered in sub-chunks of width (n + m) * d.
+    choice among several. The sums run row by row (``_push``), so the other
+    rows of the batch reach a row's result only through its projection,
+    which may round otherwise for another chunk row count
+    (``sliced._projections``). Rows go through in ``_chunks`` of width n + m,
+    the widest array of a chunk.
     """
     uniform = _equal_uniform(mu.weights, nu.weights)
     value, grad = np.empty(dirs.shape[0]), np.empty(dirs.shape)
     for c in _chunks(dirs.shape[0], mu.n + nu.n):
         pa, pb = _projections(mu, dirs[c]), _projections(nu, dirs[c])
         value[c], t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p, uniform)
-        coeff = mass * p * np.abs(t) ** (p - 1.0) * np.sign(t)
-        out = grad[c]
-        for s in _chunks(t.shape[0], (mu.n + nu.n) * mu.dim):
-            # np.take gathers the same rows about three times as fast as points[i]
-            diff = np.take(mu.points, i[s], axis=0) - np.take(nu.points, j[s], axis=0)
-            out[s] = np.matmul(coeff[s, None], diff)[:, 0]
+        grad[c] = _push(mass * p * np.abs(t) ** (p - 1.0) * np.sign(t), i, j, mu, nu)
     return value, grad
 
 
@@ -165,9 +178,8 @@ def _ascent(mu, nu, p, starts, max_iters):
             cand[:, :2][head] = _projected_powers(mu, nu, p, ladder[:, :2][head])
             tail = (size > 2) & ~np.any(cand[:, :2] > bar[:, None], axis=1)
             if np.any(tail):
-                cand[tail, 2:] = _projected_powers(
-                    mu, nu, p, ladder[tail, 2:].reshape(-1, d)
-                ).reshape(-1, _LADDER - 2)
+                tails = _projected_powers(mu, nu, p, ladder[tail, 2:].reshape(-1, d))
+                cand[tail, 2:] = tails.reshape(-1, _LADDER - 2)
             evals[live] += np.minimum(size, 2) + (_LADDER - 2) * tail
             better = cand > bar[:, None]
             rows = np.flatnonzero(np.any(better, axis=1))
@@ -240,9 +252,8 @@ def max_sliced(
     v, val, evals = _ascent(mu, nu, p, inits, max_iters=100)
     k = int(np.argmax(val))
     lower = float(val[k]) ** (1.0 / p)
-    return DirectionResult(
-        v_star=v[k], lower=lower, upper=math.inf, evaluations=int(evals.sum()), mode="heuristic"
-    )
+    return DirectionResult(v_star=v[k], lower=lower, upper=math.inf,
+                           evaluations=int(evals.sum()), mode="heuristic")
 
 # ---------------------------------------------------------------------------
 # Certified branch-and-bound
@@ -268,7 +279,7 @@ def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
         raise InvalidSpec("plan marginals do not match the measure weights")
 
 
-def _patch_bounds(mu, nu, p, centers, steps):
+def _patch_bounds(mu, nu, p, centers, steps, dist):
     """Exact center distances and certified cap bounds for each patch.
 
     Works on one fixed monotone pairing per center: its pushforward is a
@@ -276,31 +287,31 @@ def _patch_bounds(mu, nu, p, centers, steps):
     at the center, so any valid sup bound on h(v)^p = sum mass |v . z|^p
     over the cap of chord ``steps`` bounds the distance itself. h is
     Lipschitz with the pairing's own cost dc = (sum mass |z|^p)^(1/p),
-    which gives the cap f + step * dc for every order. For p = 1 and p = 2
-    the pairing's tangent gradient replaces dc with a local slope that
-    vanishes at a smooth maximizer, and the resulting bound never exceeds
-    f + step * dc.
+    which gives the cap f + step * dc for every order; each |z| is read
+    from ``dist``, the (n, m) matrix of |x_i - y_j|. For p = 1 and 2 the
+    pairing's tangent gradient (``_push``) replaces dc with a local slope
+    that vanishes at a smooth maximizer, never above f + step * dc.
     """
-    pa, pb = _projections(mu, centers), _projections(nu, centers)
-    f_pp, t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p,
-                                    _equal_uniform(mu.weights, nu.weights))
-    diff = np.take(mu.points, i, axis=0) - np.take(nu.points, j, axis=0)
-    znorm = np.linalg.norm(diff, axis=2)
+    f_pp, t, mass, i, j = _pairings(_projections(mu, centers), _projections(nu, centers),
+                                    mu.weights, nu.weights, p, _equal_uniform(mu.weights, nu.weights))
+    znorm = np.take(dist, np.ravel_multi_index((i, j), dist.shape))
     f = f_pp ** (1.0 / p)
 
     if p == 1:
         nonflip = np.abs(t) > steps[:, None] * znorm
-        g = np.einsum("rk,rkd->rd", mass * np.sign(t) * nonflip, diff)
-        g_tan = g - np.einsum("rd,rd->r", g, centers)[:, None] * centers
-        local = np.linalg.norm(g_tan, axis=1) + np.sum(mass * znorm * ~nonflip, axis=1)
-        return f, f + steps * local
+        np.sign(t, out=t)
+        t *= nonflip
+    elif p != 2:
+        return f, f + steps * np.sum(mass * znorm**p, axis=1) ** (1.0 / p)
+    # t becomes each segment's weight in place, and is dropped with the pairing once pushed
+    t *= mass
+    g = _push(t, i, j, mu, nu)
+    del t, i, j
+    slope = np.linalg.norm(g - np.einsum("rd,rd->r", g, centers)[:, None] * centers, axis=1)
+    if p == 1:
+        return f, f + steps * (slope + np.sum(mass * znorm * ~nonflip, axis=1))
     dc = np.sum(mass * znorm**p, axis=1) ** (1.0 / p)
-    if p == 2:
-        ac = np.einsum("rk,rkd->rd", mass * t, diff)
-        ac_tan = ac - np.einsum("rd,rd->r", ac, centers)[:, None] * centers
-        quad = f_pp + 2.0 * steps * np.linalg.norm(ac_tan, axis=1) + steps**2 * dc**2
-        return f, np.sqrt(np.maximum(0.0, quad))
-    return f, f + steps * dc
+    return f, np.sqrt(np.maximum(0.0, f_pp + 2.0 * steps * slope + steps**2 * dc**2))
 
 
 def _box_geometry(lo: np.ndarray, hi: np.ndarray):
@@ -345,8 +356,9 @@ def max_sliced_certified(
     Level-synchronous branch-and-bound over boxes on the cube faces
     {v_k = 1}. The first level is the d whole faces, centred on the axis
     directions; each later level halves every surviving box across its
-    longest side twice and evaluates all centers in vectorized chunks of
-    boxes, which keep each of a chunk's arrays within ``CHUNK_ELEMENTS``.
+    longest side twice and evaluates all centers in ``_chunks`` of width
+    n + m, so each of a chunk's arrays stays within ``CHUNK_ELEMENTS``; the
+    (n, m) distance matrix that ``_patch_bounds`` reads is made once.
     Each patch upper bound is the minimum of two valid cap bounds (step
     bounds the chord from the center to the box): the center pairing's
     bound from ``_patch_bounds`` and the pushed-optimal-coupling estimate
@@ -374,16 +386,14 @@ def max_sliced_certified(
         v = np.array([1.0])
         w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
         return DirectionResult(v_star=v, lower=w, upper=w, evaluations=1, mode="certified")
-    # Pushing a coupling of the d-dimensional problem through a projection
-    # yields a feasible coupling of the projected measures, so
-    # h(v) = (sum mass |v . z|^p)^(1/p) >= W_p(mu_v, nu_v) for every v, and h
-    # is Lipschitz with the coupling's own cost; for an optimal plan that is
-    # the full distance W_p(mu, nu), the tightest choice.
+    # the pushed plan gives h(v) = (sum mass |v . z|^p)^(1/p) >= W_p(mu_v, nu_v) at
+    # every v, Lipschitz with the plan's own cost W_p(mu, nu), the least a coupling has
     if plan is None:
         plan = wasserstein_exact(mu, nu, p)
     else:
         _check_plan(plan, mu, nu, p)
     z = mu.points[plan.i] - nu.points[plan.j]
+    dist = _cost_matrix(mu.points, nu.points, 1.0)
     lipschitz = plan.cost(mu, nu) ** (1.0 / p)
 
     # the first level: the d whole faces {v_k = 1} of the cube [-1, 1]^d
@@ -396,11 +406,10 @@ def max_sliced_certified(
 
     for _ in range(200):
         centers, step = _box_geometry(lo, hi)
-        # chunks of boxes keep the (boxes, n + m, d) gathers of _patch_bounds within the cap
-        parts = [_patch_bounds(mu, nu, p, centers[c], step[c])
-                 + ((np.abs(centers[c] @ z.T) ** p @ plan.mass) ** (1.0 / p),)
-                 for c in _chunks(centers.shape[0], (mu.n + nu.n) * d)]
-        fc, local_ub, hc = (np.concatenate(a) for a in zip(*parts))
+        fc, local_ub, hc = np.empty((3, centers.shape[0]))
+        for c in _chunks(centers.shape[0], mu.n + nu.n):
+            fc[c], local_ub[c] = _patch_bounds(mu, nu, p, centers[c], step[c], dist)
+            hc[c] = (np.abs(centers[c] @ z.T) ** p @ plan.mass) ** (1.0 / p)
         evals += centers.shape[0]
 
         k = int(np.argmax(fc))
@@ -416,13 +425,9 @@ def max_sliced_certified(
             break
 
         if evals + 4 * int(np.count_nonzero(keep)) > eval_budget:
-            partial = DirectionResult(
-                v_star=best_v,
-                lower=best_lower,
-                upper=max(float(np.max(uppers[keep])), pruned_ceiling, best_lower),
-                evaluations=evals,
-                mode="certified",
-            )
+            upper = max(float(np.max(uppers[keep])), pruned_ceiling, best_lower)
+            partial = DirectionResult(v_star=best_v, lower=best_lower, upper=upper,
+                                      evaluations=evals, mode="certified")
             raise BudgetExceeded(
                 f"evaluation budget {eval_budget} hit before reaching tol {tol:.3e}",
                 result=partial,
@@ -432,10 +437,5 @@ def max_sliced_certified(
     else:
         raise SolverFailure("certified search failed to converge in 200 levels")
 
-    return DirectionResult(
-        v_star=best_v,
-        lower=best_lower,
-        upper=max(pruned_ceiling, best_lower),
-        evaluations=evals,
-        mode="certified",
-    )
+    return DirectionResult(v_star=best_v, lower=best_lower, upper=max(pruned_ceiling, best_lower),
+                           evaluations=evals, mode="certified")

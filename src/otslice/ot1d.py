@@ -232,10 +232,13 @@ def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarra
     snaps them to end at 1 and frees them once merged. Per row this costs
     O((n + m) log(n + m)) time and O(n + m) memory.
     """
-    ox, _ = _sorted_rows(xs)
-    oy, _ = _sorted_rows(ys)
+    ox = _sorted_rows(xs)[0]
+    oy = _sorted_rows(ys)[0]
     mass, si, sj = _merge_cum(np.cumsum(wx[ox], axis=1), np.cumsum(wy[oy], axis=1))
-    return mass, _take_rows(ox, si), _take_rows(oy, sj)
+    # as in _merge_cum, each array is dropped once used
+    i = _take_rows(ox, si)
+    del ox, si
+    return mass, i, _take_rows(oy, sj)
 
 
 def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p: float,
@@ -259,8 +262,10 @@ def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p:
         mass = np.full(xs.shape, 1.0 / xs.shape[1])
     else:
         mass, i, j = _monotone_rows(xs, ys, wx, wy)
-        t = _take_rows(xs, i) - _take_rows(ys, j)
-    cost = np.abs(t) ** p
+        t = _take_rows(xs, i)
+        t -= _take_rows(ys, j)
+    cost = np.abs(t)
+    cost **= p
     value = np.add.reduce(cost, axis=1) / t.shape[1] if uniform else np.sum(mass * cost, axis=1)
     return value, t, mass, i, j
 

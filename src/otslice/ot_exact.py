@@ -33,6 +33,9 @@ from .ot1d import _equal_uniform, _monotone_rows
 
 # Dense cost-matrix size guard.
 MAX_DENSE_CELLS = 50_000_000
+# Most-negative-reduced-cost pivots on an n x m instance before the
+# lowest-index rule takes over: per row or column, plus a fixed number.
+_DANTZIG_PIVOTS = (30, 200)
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,8 @@ def _transportation_simplex(C, a, b):
     X = _staircase(a, b)
     cscale = float(np.max(C)) or 1.0
     etol = 1e-11 * cscale
-    dantzig_limit = 30 * (n + m) + 200
+    per_node, fixed = _DANTZIG_PIVOTS
+    dantzig_limit = per_node * (n + m) + fixed
     total_limit = dantzig_limit + 300 * (n + m) + 2000
     adj = [{} for _ in range(n + m)]  # tree neighbour -> cost of the cell between
     for i, j in X:

@@ -318,6 +318,19 @@ class TestDist:
         assert report["p"] == 2.0
         assert report["metrics"]["sw"]["scheme"] == "quadrature(64)"
 
+    def test_problem_too_large_exit_4(self, pair_files, monkeypatch, capsys):
+        a, b = pair_files
+        monkeypatch.setattr(ot_exact, "MAX_DENSE_CELLS", 0)
+        assert main(["dist", str(a), str(b), "--metric", "w"]) == 4
+        assert "ProblemTooLarge" in capsys.readouterr().err
+
+    def test_config_file_holding_a_list_exit_2(self, pair_files, tmp_path, capsys):
+        a, b = pair_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"p": 2.0}]))
+        assert main(["dist", str(a), str(b), "--config", str(cfg)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cfg", [
         {"p": [1]}, {"p": True}, {"p": None}, {"starts": 2.5}, {"tol": "small"},
         {"certified": "yes"}, {"metric": "bogus"}, {"metric": 3}, {"scheme": 5},
@@ -389,6 +402,17 @@ class TestSuites:
         assert summary["schema"] == 1
         assert len(summary["fits"]) == 3
         assert (tmp_path / "rates.csv").exists()
+
+    def test_rates_d3_verdicts_set_the_exit_code(self, tmp_path, capsys):
+        code = main(["rates", "--d", "3", "--n-list", "8,16,24,32", "--reps", "2", "--seed", "5",
+                     "--threads", "1", "--out", str(tmp_path / "rates")])
+        verdicts = json.loads((tmp_path / "rates.summary.json").read_text())["verdicts"]
+        assert set(verdicts) == {"W_exact_slope_in_window", "SW_slope_in_window",
+                                 "ratio_nondecreasing"}
+        assert code == (0 if all(verdicts.values()) else 1)
+        out = capsys.readouterr().out
+        for key, ok in verdicts.items():
+            assert f"{key}: {'pass' if ok else 'FAIL'}" in out
 
     def test_rates_config_strings_and_lists(self, tmp_path):
         cfg = tmp_path / "cfg.json"

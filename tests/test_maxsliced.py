@@ -28,6 +28,7 @@ from otslice import (
 from otslice import experiments, maxsliced, sliced
 from otslice.measures import rng_stream
 from otslice.maxsliced import _ascent, _box_geometry, _halve, _patch_bounds
+from otslice.ot_exact import _cost_matrix
 from otslice.sliced import _projected_powers
 from conftest import random_measure, random_pair
 
@@ -218,31 +219,35 @@ class TestLockstep:
                 assert np.array_equal(split.v_star, whole.v_star)
 
     def test_gradient_chunks_stay_within_budget(self, rng, monkeypatch):
-        # the ascent's gradients pair (rows, n + m) chunks and gather each
-        # chunk's (rows, n, d) coupling in sub-chunks that fit the cap
-        mu = make_discrete(rng.standard_normal((200, 3)))
-        nu = make_discrete(rng.standard_normal((200, 3)))
-        seen, gathers = [], []
+        # the ascent's gradients pair (rows, n + m) chunks; each chunk's
+        # pairing arrays and the (rows, n) and (rows, m) atom sums of _push fit the cap
+        pairings, bincount = maxsliced._pairings, np.bincount
+        for m in (200, 150):
+            mu = make_discrete(rng.standard_normal((200, 3)))
+            nu = make_discrete(rng.standard_normal((m, 3)),
+                               None if m == 200 else rng.dirichlet(np.ones(m)))
+            seen, sizes = [], []
 
-        def record(pa, pb, wa, wb, p, uniform):
-            seen.append(pa.shape[0])
-            return pairings(pa, pb, wa, wb, p, uniform)
+            def record(pa, pb, wa, wb, p, uniform):
+                seen.append(pa.shape[0])
+                out = pairings(pa, pb, wa, wb, p, uniform)
+                sizes.extend(a.size for a in (pa, pb) + out[1:])
+                return out
 
-        def record_take(a, idx, *args, **kwargs):
-            out = take(a, idx, *args, **kwargs)
-            if kwargs.get("axis") == 0:
-                gathers.append(out.size)
-            return out
+            def record_bincount(*args, **kwargs):
+                out = bincount(*args, **kwargs)
+                sizes.append(out.size)
+                return out
 
-        pairings, take = maxsliced._pairings, np.take
-        monkeypatch.setattr(maxsliced, "_pairings", record)
-        monkeypatch.setattr(np, "take", record_take)
-        max_sliced(mu, nu, 1.0, starts=40, seed=3)
-        monkeypatch.undo()
-        rows = sliced.CHUNK_ELEMENTS // (mu.n + nu.n)
-        # the 43 first gradients outgrow one chunk, and no chunk is wider than the cap allows
-        assert max(seen) == rows and rows * (mu.n + nu.n) <= sliced.CHUNK_ELEMENTS
-        assert gathers and max(gathers) <= sliced.CHUNK_ELEMENTS
+            with monkeypatch.context() as patch:
+                patch.setattr(maxsliced, "_pairings", record)
+                patch.setattr(np, "bincount", record_bincount)
+                max_sliced(mu, nu, 1.0, starts=60, seed=3)
+            rows = sliced.CHUNK_ELEMENTS // (mu.n + nu.n)
+            # the 63 first gradients outgrow one chunk, and no chunk is wider than the cap allows
+            assert max(seen) == rows and rows * (mu.n + nu.n) <= sliced.CHUNK_ELEMENTS
+            assert rows * mu.n in sizes and rows * nu.n in sizes
+            assert max(sizes) <= sliced.CHUNK_ELEMENTS
 
     def test_start_blocks_change_nothing(self, rng, monkeypatch):
         # 303 starts at d = 3 run in blocks of 210 and 93, or in one under a wider cap;
@@ -449,22 +454,38 @@ class TestCertified:
             assert np.array_equal(split.v_star, whole.v_star)
 
     def test_level_chunks_stay_within_budget(self, rng, monkeypatch):
-        # each chunk's (boxes, n + m, d) gathers hold at most CHUNK_ELEMENTS
+        # each chunk's (boxes, n + m) pairing arrays and (boxes, n) and
+        # (boxes, m) atom sums hold at most CHUNK_ELEMENTS
         mu = random_measure(rng, 3, max_atoms=200)
         nu = random_measure(rng, 3, max_atoms=200)
-        seen = []
+        seen, sizes = [], []
 
-        def record(mu, nu, p, centers, steps):
+        def record(mu, nu, p, centers, steps, dist):
             seen.append(centers.shape[0])
-            return bounds(mu, nu, p, centers, steps)
+            return bounds(mu, nu, p, centers, steps, dist)
 
-        bounds = maxsliced._patch_bounds
+        def record_pairings(pa, pb, wa, wb, p, uniform):
+            out = pairings(pa, pb, wa, wb, p, uniform)
+            sizes.extend(a.size for a in (pa, pb) + out[1:])
+            return out
+
+        def record_bincount(*args, **kwargs):
+            out = bincount(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        bounds, pairings, bincount = maxsliced._patch_bounds, maxsliced._pairings, np.bincount
         monkeypatch.setattr(maxsliced, "_patch_bounds", record)
+        monkeypatch.setattr(maxsliced, "_pairings", record_pairings)
+        monkeypatch.setattr(np, "bincount", record_bincount)
         res = max_sliced_certified(mu, nu, 2.0, tol=1e-4)
+        monkeypatch.undo()
         assert sum(seen) == res.evaluations
-        rows = sliced.CHUNK_ELEMENTS // ((mu.n + nu.n) * 3)
+        rows = sliced.CHUNK_ELEMENTS // (mu.n + nu.n)
         # the levels outgrow one chunk, and no chunk is wider than the cap allows
-        assert max(seen) == rows and rows * (mu.n + nu.n) * 3 <= sliced.CHUNK_ELEMENTS
+        assert max(seen) == rows and rows * (mu.n + nu.n) <= sliced.CHUNK_ELEMENTS
+        assert rows * mu.n in sizes and rows * nu.n in sizes
+        assert max(sizes) <= sliced.CHUNK_ELEMENTS
 
     def test_budget_exceeded_at_d5(self, rng):
         mu, nu = random_pair(rng, 5, max_atoms=10)
@@ -582,8 +603,9 @@ class TestPatchBounds:
                 centers[:d] = np.eye(d)  # axis directions tie the rounded atoms
                 centers /= np.linalg.norm(centers, axis=1, keepdims=True)
                 steps = rng.uniform(0.0, 0.2, 50)
+                dist = _cost_matrix(mu.points, nu.points, 1.0)
                 for p in (1.0, 1.5, 2.0):
-                    f, ub = _patch_bounds(mu, nu, p, centers, steps)
+                    f, ub = _patch_bounds(mu, nu, p, centers, steps, dist)
                     assert np.array_equal(f, _projected_powers(mu, nu, p, centers) ** (1 / p))
                     assert np.all(ub >= f)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from otslice import (BudgetExceeded, make_discrete, max_sliced, max_sliced_certified, moment_p,
                      projected_distance, wasserstein_exact)
 from otslice.maxsliced import _patch_bounds
+from otslice.ot_exact import _cost_matrix
 from otslice.sliced import _projected_powers
 
 CAPS = 48  # sampled directions per cap, half of them on its rim
@@ -71,7 +72,7 @@ class TestCapBounds:
         d = mu.dim
         centers, dirs = centers_and_caps(d, step, np.random.default_rng(seed))
         steps = np.full(centers.shape[0], step)
-        f, ub = _patch_bounds(mu, nu, p, centers, steps)
+        f, ub = _patch_bounds(mu, nu, p, centers, steps, _cost_matrix(mu.points, nu.points, 1.0))
 
         # every direction in a cap stays below its bound; the span term covers
         # projection rounding (one atom projected in two differently shaped
@@ -99,7 +100,8 @@ class TestProjectionPaths:
         # |t|^p otherwise), so a center's value is bit-equal whichever computes it
         mu, nu = scaled(pair[0], scale), scaled(pair[1], scale)
         centers, _ = centers_and_caps(mu.dim, 0.1, np.random.default_rng(seed))
-        f, _ = _patch_bounds(mu, nu, p, centers, np.full(centers.shape[0], 0.1))
+        f, _ = _patch_bounds(mu, nu, p, centers, np.full(centers.shape[0], 0.1),
+                            _cost_matrix(mu.points, nu.points, 1.0))
         assert np.array_equal(f, _projected_powers(mu, nu, p, centers) ** (1 / p))
 
 

@@ -215,3 +215,51 @@ class TestFileFormats:
         path.write_text(json.dumps({"dim": 3, "points": [[0.0, 1.0]]}))
         with pytest.raises(DimensionMismatch):
             load_measure(path)
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def _cube(dim=1):
+    return GeneratorSpec.uniform_cube(dim)
+
+
+INPUT_CHECKS = {
+    "points_without_coordinates": (lambda t: make_discrete(np.zeros((3, 0))), DimensionMismatch),
+    "weights_of_wrong_shape": (lambda t: make_discrete([[0.0], [1.0]], [[0.5, 0.5]]),
+                               DimensionMismatch),
+    "too_few_weights": (lambda t: make_discrete([[0.0], [1.0]], [1.0]), DimensionMismatch),
+    "nan_weights": (lambda t: make_discrete([[0.0], [1.0]], [np.nan, 1.0]), WeightSumOutOfRange),
+    "unknown_kind": (lambda t: GeneratorSpec(kind="sphere", dim=2), InvalidSpec),
+    "dim_below_one": (lambda t: GeneratorSpec(kind="standard_gaussian", dim=0), InvalidSpec),
+    "cube_side_not_positive": (lambda t: GeneratorSpec(kind="uniform_cube", dim=1, side=0.0),
+                               InvalidSpec),
+    "two_point_without_y": (lambda t: GeneratorSpec(kind="two_point", dim=1, x=(0.0,)),
+                            InvalidSpec),
+    "two_point_wrong_length": (lambda t: GeneratorSpec.two_point((0.0, 0.0), (1.0,)),
+                               InvalidSpec),
+    "empirical_without_base": (lambda t: GeneratorSpec(kind="empirical_of", dim=1, n=3),
+                               InvalidSpec),
+    "empirical_without_n": (lambda t: GeneratorSpec(kind="empirical_of", dim=1, base=_cube()),
+                            InvalidSpec),
+    "empirical_n_zero": (lambda t: GeneratorSpec.empirical_of(_cube(), 0), InvalidSpec),
+    "empirical_nested": (lambda t: GeneratorSpec.empirical_of(
+        GeneratorSpec.empirical_of(_cube(), 3), 3), InvalidSpec),
+    "empirical_base_dim": (lambda t: GeneratorSpec(kind="empirical_of", dim=2, base=_cube(), n=3),
+                           InvalidSpec),
+    "empty_csv": (lambda t: load_measure(_file(t, "m.csv", "")), EmptySupport),
+    "header_only_csv": (lambda t: load_measure(_file(t, "m.csv", "x,y,weight\n")), EmptySupport),
+    "json_without_points": (lambda t: load_measure(_file(t, "m.json", json.dumps({"dim": 1}))),
+                            InvalidSpec),
+    "json_list": (lambda t: load_measure(_file(t, "m.json", "[[0.0]]")), InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_raise_their_error_types(case, tmp_path):
+    build, error = INPUT_CHECKS[case]
+    with pytest.raises(error):
+        build(tmp_path)

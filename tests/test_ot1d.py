@@ -49,6 +49,17 @@ class TestToMeasure1D:
         assert np.all(np.diff(m.atoms) > 0)
 
 
+@pytest.mark.parametrize("values, weights, error", [
+    ([0.0, 1.0], [1.0], DimensionMismatch),
+    ([0.0, 1.0], [0.5, 0.5, 0.0], DimensionMismatch),
+    ([0.0, 1.0], [0.5, 0.6], ArgumentOutOfRange),
+    ([0.0, 1.0], [0.25, 0.25], ArgumentOutOfRange),
+])
+def test_samples_with_bad_weights_raise(values, weights, error):
+    with pytest.raises(error):
+        measure1d_from_samples(values, weights)
+
+
 class TestQuantile:
     def test_strict_exceedance_boundary(self):
         m = line([0.0, 1.0], [0.5, 0.5])

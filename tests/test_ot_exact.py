@@ -17,7 +17,9 @@ from otslice import (
     wasserstein_1d,
     wasserstein_exact,
 )
+from otslice import ot_exact
 from otslice.ot1d import monotone_coupling
+from otslice.ot_exact import _solve_simplex
 from conftest import random_measure, random_pair
 
 
@@ -268,3 +270,42 @@ class TestPlanOnLine:
         c = monotone_coupling(m1, n1)
         plan = wasserstein_exact(mu, nu, 2.0)
         assert plan.primal_value**2 == pytest.approx(c.cost(m1, n1, 2.0), rel=1e-10)
+
+
+class TestLowestIndexRule:
+    def test_lowest_index_pivots_reach_the_same_optimum(self, rng, monkeypatch):
+        # a Dantzig budget of 0 makes every pivot take the lowest-index rule
+        pairs = []
+        for d in (2, 3):
+            pairs += [random_pair(rng, d, max_atoms=15) for _ in range(3)]
+            a, b = np.round(rng.standard_normal((12, d))), np.round(rng.standard_normal((9, d)))
+            a[1] = a[0]  # lattice atoms tie along the axes, and one repeats
+            wa = rng.dirichlet(np.ones(12))
+            wa[3] = 0.0
+            pairs.append((make_discrete(a, wa / wa.sum()),
+                          make_discrete(b, rng.dirichlet(np.ones(9)))))
+        pivots = []
+
+        def record(*args):
+            pivots.append(1)
+            return cycle_path(*args)
+
+        cycle_path = ot_exact._cycle_path
+        for mu, nu in pairs:
+            for p in (1.0, 2.0):
+                w = _solve_simplex(mu, nu, p)[-1] ** (1.0 / p)
+                with monkeypatch.context() as m:
+                    m.setattr(ot_exact, "_DANTZIG_PIVOTS", (0, 0))
+                    m.setattr(ot_exact, "_cycle_path", record)
+                    i, j, mass, u, v, cost = _solve_simplex(mu, nu, p)
+                assert cost ** (1.0 / p) == pytest.approx(w, rel=1e-12, abs=0.0)
+                # the certificate: marginals, tight basic cells, dual feasibility
+                C = cdist(mu.points, nu.points) ** p
+                cmax = float(C.max())
+                assert np.all(mass >= 0.0)
+                assert np.allclose(np.bincount(i, mass, mu.n), mu.weights, rtol=0, atol=1e-12)
+                assert np.allclose(np.bincount(j, mass, nu.n), nu.weights, rtol=0, atol=1e-12)
+                assert np.all(np.abs(u[i] + v[j] - C[i, j]) <= 1e-12 * cmax)
+                assert np.all(u[:, None] + v[None, :] - C <= 1e-9 * cmax)
+                assert float(mu.weights @ u + nu.weights @ v) == pytest.approx(cost, rel=1e-9)
+        assert len(pivots) > 100
