@@ -9,7 +9,6 @@ and certified max-sliced optimization, and a reproducible experiment layer.
 from . import errors
 from .errors import (
     ArgumentOutOfRange,
-    BudgetExceeded,
     DegenerateInstance,
     DimensionMismatch,
     EmptySupport,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentOutOfRange",
-    "BudgetExceeded",
     "DegenerateInstance",
     "DimensionMismatch",
     "DiscreteMeasure",

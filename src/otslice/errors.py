@@ -53,16 +53,5 @@ class SolverFailure(OTSliceError):
     """The transport solver could not certify an optimal basic solution."""
 
 
-class BudgetExceeded(OTSliceError):
-    """An evaluation budget ran out before the requested tolerance.
-
-    The partial result (best bracket so far) is attached as ``.result``.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class DegenerateInstance(OTSliceError):
     """An instance is too degenerate for the requested statistic."""

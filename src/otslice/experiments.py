@@ -352,9 +352,8 @@ def cd_lower_bound_scan(
 
     The denominator is a certified upper bound at every d (brackets 1e-3
     wide), so the ratio is a valid bound. The certified search's work grows
-    steeply with d; where it exhausts its evaluation budget (about d >= 7)
-    the scan raises :class:`BudgetExceeded` rather than report an
-    uncertified ratio.
+    steeply with d; where it spends its evaluation budget (about d >= 7) its
+    bracket is wider, and the ratio a weaker bound, but still a valid one.
     """
     if instances < 1:
         raise DegenerateInstance("need at least one instance")

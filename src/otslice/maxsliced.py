@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
+from .errors import DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
 from .ot1d import _equal_uniform, _pairings, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, _cost_matrix, wasserstein_exact
@@ -39,20 +39,20 @@ class DirectionResult:
     """A direction with its projected distance and an enclosure bracket.
 
     ``lower`` is the exact projected distance the search computed at ``v_star``
-    (a valid lower bound on the max-sliced distance); ``upper`` is a certified
-    global upper bound in certified mode, and ``math.inf`` in heuristic mode
-    at d >= 2, since an ascent bounds nothing from above (d = 1 is exact).
-    ``evaluations`` counts projected distances: in heuristic mode, summed over
-    the starts (which run in lockstep, each with its own count), one per start
-    plus the ladder candidates it evaluated (2 per iteration, 26 when neither
-    of those improves); in certified mode one per patch center.
+    (a valid lower bound on the max-sliced distance). ``upper`` is a certified
+    global upper bound from :func:`max_sliced_certified`, converged or not;
+    from :func:`max_sliced` it is ``math.inf`` at d >= 2, since an ascent
+    bounds nothing from above (d = 1 is exact). ``evaluations`` counts
+    projected distances: for the ascent, summed over the starts (which run in
+    lockstep, each with its own count), one per start plus the ladder
+    candidates it evaluated (2 per iteration, 26 when neither of those
+    improves); for the certified search one per patch center.
     """
 
     v_star: np.ndarray
     lower: float
     upper: float
     evaluations: int
-    mode: str
 
 
 def projected_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v) -> float:
@@ -192,6 +192,12 @@ def _ascent(mu, nu, p, starts, max_iters):
     return v, val, evals
 
 
+def _one_direction(mu, nu, p) -> DirectionResult:
+    """The d = 1 answer: S^0 is {1, -1} and the objective is even, so W_p is exact."""
+    w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
+    return DirectionResult(v_star=np.array([1.0]), lower=w, upper=w, evaluations=1)
+
+
 def _check_starts(starts: int) -> None:
     if starts < 1:
         raise InvalidOrder(f"starts must be >= 1, got {starts}")
@@ -243,17 +249,14 @@ def max_sliced(
     _check_starts(starts)
     d = mu.dim
     if d == 1:
-        v = np.array([1.0])
-        w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
-        return DirectionResult(v_star=v, lower=w, upper=w, evaluations=1, mode="heuristic")
+        return _one_direction(mu, nu, p)
 
     raw = rng_stream(seed, 0xA5).standard_normal((starts, d))
     inits = np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
     v, val, evals = _ascent(mu, nu, p, inits, max_iters=100)
     k = int(np.argmax(val))
     lower = float(val[k]) ** (1.0 / p)
-    return DirectionResult(v_star=v[k], lower=lower, upper=math.inf,
-                           evaluations=int(evals.sum()), mode="heuristic")
+    return DirectionResult(v_star=v[k], lower=lower, upper=math.inf, evaluations=int(evals.sum()))
 
 # ---------------------------------------------------------------------------
 # Certified branch-and-bound
@@ -376,16 +379,16 @@ def max_sliced_certified(
 
     ``evaluations`` counts exact projected distances, one per patch center;
     no ascent runs. The first level is always evaluated; before each split,
-    if the next level would take ``evaluations`` past ``eval_budget``,
-    :class:`BudgetExceeded` is raised with the best bracket attached.
+    if the next level would take ``evaluations`` past ``eval_budget``, the
+    search stops and returns the bracket it holds, its upper raised to the
+    live boxes' bounds. Either way the bracket is certified; a width
+    ``upper - lower`` above ``tol`` tells that the budget stopped it.
     """
     _check_pair(mu, nu, p)
     _check_tol(tol)
     d = mu.dim
     if d == 1:
-        v = np.array([1.0])
-        w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
-        return DirectionResult(v_star=v, lower=w, upper=w, evaluations=1, mode="certified")
+        return _one_direction(mu, nu, p)
     # the pushed plan gives h(v) = (sum mass |v . z|^p)^(1/p) >= W_p(mu_v, nu_v) at
     # every v, Lipschitz with the plan's own cost W_p(mu, nu), the least a coupling has
     if plan is None:
@@ -402,7 +405,7 @@ def max_sliced_certified(
     best_lower, best_v = -math.inf, None
     evals = 0
     gap = 0.995 * tol  # slightly conservative so the final width meets tol strictly
-    pruned_ceiling = -math.inf  # sup over discarded patches, always <= best + gap
+    ceiling = -math.inf  # sup over unsplit patches, <= best + gap unless the budget stops
 
     for _ in range(200):
         centers, step = _box_geometry(lo, hi)
@@ -419,23 +422,16 @@ def max_sliced_certified(
         uppers = np.minimum(inherited, np.minimum(local_ub, hc + lipschitz * step))
 
         keep = uppers > best_lower + gap
+        if evals + 4 * int(np.count_nonzero(keep)) > eval_budget:
+            keep[:] = False  # the budget stops the search: no box is split further
         if np.any(~keep):
-            pruned_ceiling = max(pruned_ceiling, float(np.max(uppers[~keep])))
+            ceiling = max(ceiling, float(np.max(uppers[~keep])))
         if not np.any(keep):
             break
-
-        if evals + 4 * int(np.count_nonzero(keep)) > eval_budget:
-            upper = max(float(np.max(uppers[keep])), pruned_ceiling, best_lower)
-            partial = DirectionResult(v_star=best_v, lower=best_lower, upper=upper,
-                                      evaluations=evals, mode="certified")
-            raise BudgetExceeded(
-                f"evaluation budget {eval_budget} hit before reaching tol {tol:.3e}",
-                result=partial,
-            )
         lo, hi = _halve(*_halve(lo[keep], hi[keep]))
         inherited = np.tile(uppers[keep], 4)
     else:
         raise SolverFailure("certified search failed to converge in 200 levels")
 
-    return DirectionResult(v_star=best_v, lower=best_lower, upper=max(pruned_ceiling, best_lower),
-                           evaluations=evals, mode="certified")
+    return DirectionResult(v_star=best_v, lower=best_lower, upper=max(ceiling, best_lower),
+                           evaluations=evals)

@@ -94,6 +94,8 @@ def make_discrete(points, weights=None) -> DiscreteMeasure:
         pts = np.asarray(points, dtype=float)
     except ValueError as exc:
         raise DimensionMismatch(f"ragged point list: {exc}") from None
+    except TypeError as exc:
+        raise InvalidSpec(f"points must be numbers: {exc}") from None
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -107,7 +109,10 @@ def make_discrete(points, weights=None) -> DiscreteMeasure:
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(weights, dtype=float)
+        try:
+            w = np.asarray(weights, dtype=float)
+        except TypeError as exc:
+            raise InvalidSpec(f"weights must be numbers: {exc}") from None
         if w.shape != (n,):
             raise DimensionMismatch(
                 f"got {w.shape[0] if w.ndim == 1 else w.shape} weights for {n} points"
@@ -285,10 +290,11 @@ def _parse_json(path: Path) -> DiscreteMeasure:
     if not isinstance(payload, dict) or "points" not in payload:
         raise InvalidSpec(f"{path}: expected an object with a 'points' field")
     mu = make_discrete(payload["points"], payload.get("weights"))
-    if "dim" in payload and int(payload["dim"]) != mu.dim:
-        raise DimensionMismatch(
-            f"{path}: declared dim {payload['dim']} but points have dim {mu.dim}"
-        )
+    dim = payload.get("dim", mu.dim)
+    if type(dim) is not int:  # a JSON true or 3.0 is no dimension either
+        raise InvalidSpec(f"{path}: 'dim' must be an integer, got {dim!r}")
+    if dim != mu.dim:
+        raise DimensionMismatch(f"{path}: declared dim {dim} but points have dim {mu.dim}")
     return mu
 
 

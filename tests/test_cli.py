@@ -1,10 +1,13 @@
+import functools
 import json
 import math
 
 import pytest
 
-from otslice import Scheme, cli, dual_potentials_w1, load_measure, ot_exact, wasserstein_exact
+from otslice import (Scheme, cli, dual_potentials_w1, load_measure, max_sliced_certified, ot_exact,
+                     save_measure, wasserstein_exact)
 from otslice.cli import main
+from conftest import random_pair
 
 
 def write_point(path, coords):
@@ -117,7 +120,6 @@ class TestDist:
         )
         assert code == 0
         entry = json.loads(out.read_text())["metrics"]["maxsw"]
-        assert entry["mode"] == "certified"
         assert entry["upper"] - entry["lower"] <= 1e-6
         # with W in --metric the search reuses its plan; the bracket is the same
         code = main(
@@ -128,6 +130,28 @@ class TestDist:
         reused = json.loads(out.read_text())["metrics"]["maxsw"]
         del entry["time_s"], reused["time_s"]
         assert reused == entry
+
+    def test_budget_stopped_certified_maxsw_exit_0(self, tmp_path, monkeypatch, rng):
+        # a spent evaluation budget reports the wider bracket the search holds
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, m in zip((a, b), random_pair(rng, 3, max_atoms=10)):
+            save_measure(path, m)
+        monkeypatch.setattr(cli, "max_sliced_certified",
+                            functools.partial(max_sliced_certified, eval_budget=20))
+        out = tmp_path / "r.json"
+        code = main(["dist", str(a), str(b), "--metric", "all", "--certified", "--tol", "1e-6",
+                     "--out", str(out)])
+        assert code == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["maxsw"]["upper"] - metrics["maxsw"]["lower"] > 1e-6
+        assert metrics["maxsw"]["lower"] <= metrics["w"]["value"]
+
+    def test_json_field_of_wrong_type_exit_2(self, tmp_path, capsys):
+        # used to end in a TypeError traceback and exit 1, the suite-failure code
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"dim": [3], "points": [[1, 2, 3]]}))
+        assert main(["dist", str(f), str(f), "--metric", "w"]) == 2
+        assert "InvalidSpec" in capsys.readouterr().err
 
     def test_dual_report(self, pair_files, tmp_path):
         a, b = pair_files
@@ -204,7 +228,7 @@ class TestDist:
         out = tmp_path / "r.json"
         assert main(["dist", str(a), str(b), "--metric", "maxsw", "--out", str(out)]) == 0
         entry = json.loads(out.read_text())["metrics"]["maxsw"]
-        assert entry["mode"] == "heuristic" and entry["upper"] is None
+        assert entry["upper"] is None
         assert entry["lower"] == pytest.approx(1.0, rel=1e-12)
 
     def test_non_positive_tol_rejected_before_loading(self, pair_files, monkeypatch, capsys):
@@ -296,7 +320,7 @@ class TestDist:
                      "--out", str(out)])
         assert code == 0
         metrics = json.loads(out.read_text())["metrics"]
-        assert metrics["maxsw"]["mode"] == "certified"
+        assert metrics["maxsw"]["upper"] is not None  # the ascent's would be null
         assert metrics["w"]["dual_value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_config_file_bad_scheme_exit_2(self, pair_files, tmp_path, capsys):

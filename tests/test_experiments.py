@@ -238,6 +238,26 @@ class TestCdScan:
         with pytest.raises(DegenerateInstance):
             ex.cd_lower_bound_scan(d=2, instances=0, seed=0)
 
+    def test_budget_stopped_brackets_still_bound(self, monkeypatch):
+        # a spent budget widens each bracket, so every ratio W / upper stays at
+        # most W over the converged bracket's lower bound: the bound weakens only
+        stopped, certified = [], ex.max_sliced_certified
+
+        def small_budget(mu, nu, p, tol, plan=None):
+            res = certified(mu, nu, p, tol, eval_budget=20, plan=plan)
+            stopped.append((mu, nu, res))
+            return res
+
+        monkeypatch.setattr(ex, "max_sliced_certified", small_budget)
+        report = ex.cd_lower_bound_scan(d=3, instances=3, seed=5)
+        ratios = []
+        for mu, nu, res in stopped:
+            assert res.upper - res.lower > 1e-3
+            w = ex.wasserstein_exact(mu, nu, 1.0).primal_value
+            ratios.append(w / res.upper)
+            assert ratios[-1] <= w / certified(mu, nu, 1.0, 1e-3).lower
+        assert len(ratios) == 3 and report.lower_bound == max(ratios)
+
 
 class TestConvergenceSuite:
     def test_translation_schedule_point_mass(self):
@@ -267,7 +287,7 @@ class TestConvergenceSuite:
         def low_upper(mu, nu, p, tol, plan=None):
             sw = ex.sliced_wasserstein(mu, nu, p, normalized=True).value
             return DirectionResult(v_star=np.array([1.0, 0.0]), lower=0.0, upper=sw - 1e-4,
-                                   evaluations=1, mode="certified")
+                                   evaluations=1)
 
         monkeypatch.setattr(ex, "max_sliced_certified", low_upper)
         target = make_discrete([[0.0, 0.0]], [1.0])

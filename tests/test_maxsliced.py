@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from otslice import (
-    BudgetExceeded,
     DimensionMismatch,
     InvalidOrder,
     InvalidSpec,
@@ -315,7 +314,6 @@ class TestHeuristic:
         a, b = point_mass((1.0, -2.0)), point_mass((3.0, 1.0))
         res = max_sliced(a, b, 1.0, starts=4, seed=0)
         assert res.lower == pytest.approx(math.hypot(2.0, 3.0), abs=1e-8)
-        assert res.mode == "heuristic"
         assert res.upper == math.inf  # an ascent bounds nothing from above
 
     def test_dominates_axis_projections(self, rng):
@@ -356,7 +354,6 @@ class TestCertified:
         gap = math.hypot(0.6, 0.9)
         assert res.lower - 1e-9 <= gap <= res.upper + 1e-9
         assert res.upper - res.lower <= 1e-6
-        assert res.mode == "certified"
 
     def test_identical_measures_bracket(self, rng):
         mu = random_measure(rng, 2)
@@ -445,7 +442,7 @@ class TestCertified:
             mu, nu = random_pair(rng, 3, max_atoms=10)
             whole = max_sliced_certified(mu, nu, p, tol=1e-4)
             with monkeypatch.context() as m:
-                m.setattr(sliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n) * 3)
+                m.setattr(sliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n))
                 split = max_sliced_certified(mu, nu, p, tol=1e-4)
             assert whole.evaluations > 12
             assert (split.lower, split.upper, split.evaluations) == (
@@ -489,28 +486,21 @@ class TestCertified:
 
     def test_budget_exceeded_at_d5(self, rng):
         mu, nu = random_pair(rng, 5, max_atoms=10)
-        with pytest.raises(BudgetExceeded) as exc_info:
-            max_sliced_certified(mu, nu, 1.0, tol=1e-6, eval_budget=500)
-        partial = exc_info.value.result
+        partial = max_sliced_certified(mu, nu, 1.0, tol=1e-6, eval_budget=500)
         assert partial.v_star.shape == (5,)
         assert 5 <= partial.evaluations <= 500
         assert partial.lower <= partial.upper
 
     def test_budget_exceeded_carries_partial(self, rng):
         mu, nu = random_pair(rng, 3, max_atoms=10)
-        with pytest.raises(BudgetExceeded) as exc_info:
-            max_sliced_certified(mu, nu, 1.0, tol=1e-10, eval_budget=200)
-        partial = exc_info.value.result
-        assert partial is not None
+        partial = max_sliced_certified(mu, nu, 1.0, tol=1e-10, eval_budget=200)
         assert partial.lower <= partial.upper
-        assert partial.mode == "certified"
+        assert partial.upper - partial.lower > 1e-10  # the budget, not tol, stopped it
 
     def test_budget_below_first_level(self, rng):
         for d in (2, 3):
             mu, nu = random_pair(rng, d, max_atoms=10)
-            with pytest.raises(BudgetExceeded) as exc_info:
-                max_sliced_certified(mu, nu, 2.0, tol=1e-4, eval_budget=2)
-            partial = exc_info.value.result
+            partial = max_sliced_certified(mu, nu, 2.0, tol=1e-4, eval_budget=2)
             assert partial.v_star.shape == (d,)
             assert np.all(np.isfinite(partial.v_star))
             assert partial.lower == projected_distance(mu, nu, 2.0, partial.v_star)
@@ -524,9 +514,7 @@ class TestCertified:
                 a = max_sliced_certified(mu, nu, p, tol=1e-4, plan=wasserstein_exact(mu, nu, p))
                 b = max_sliced_certified(mu, nu, p, tol=1e-4)
                 assert np.array_equal(a.v_star, b.v_star)
-                assert (a.lower, a.upper, a.evaluations, a.mode) == (
-                    b.lower, b.upper, b.evaluations, b.mode
-                )
+                assert (a.lower, a.upper, a.evaluations) == (b.lower, b.upper, b.evaluations)
 
     def test_mismatched_plan_rejected(self, rng):
         mu = random_measure(rng, 2, max_atoms=6)

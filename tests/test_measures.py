@@ -255,6 +255,14 @@ INPUT_CHECKS = {
     "json_without_points": (lambda t: load_measure(_file(t, "m.json", json.dumps({"dim": 1}))),
                             InvalidSpec),
     "json_list": (lambda t: load_measure(_file(t, "m.json", "[[0.0]]")), InvalidSpec),
+    "json_dim_list": (lambda t: load_measure(_file(t, "m.json", json.dumps(
+        {"dim": [3], "points": [[1, 2, 3]]}))), InvalidSpec),
+    "json_dim_null": (lambda t: load_measure(_file(t, "m.json", json.dumps(
+        {"dim": None, "points": [[1, 2, 3]]}))), InvalidSpec),
+    "json_points_object": (lambda t: load_measure(_file(t, "m.json", json.dumps(
+        {"points": {"a": 1}}))), InvalidSpec),
+    "json_weights_object": (lambda t: load_measure(_file(t, "m.json", json.dumps(
+        {"points": [[1.0], [2.0]], "weights": {"a": 1}}))), InvalidSpec),
 }
 
 
