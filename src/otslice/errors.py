@@ -13,10 +13,6 @@ class NegativeWeight(OTSliceError):
     """Weights must be nonnegative."""
 
 
-class WeightSumOutOfRange(OTSliceError):
-    """Weights must sum to 1 within the renormalization tolerance."""
-
-
 class NonFiniteCoordinates(OTSliceError):
     """Support points must have finite coordinates."""
 
@@ -35,6 +31,10 @@ class InvalidSpec(OTSliceError):
 
 class ArgumentOutOfRange(OTSliceError):
     """A scalar argument lies outside its admissible interval."""
+
+
+class WeightSumOutOfRange(ArgumentOutOfRange):
+    """Weights of a measure, 1D or not, must sum to 1 within ``WEIGHT_SUM_TOL``; NaN fails."""
 
 
 class InvalidDimension(OTSliceError):

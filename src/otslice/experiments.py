@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import DegenerateInstance, DimensionMismatch
 from .measures import DiscreteMeasure, GeneratorSpec, generate, make_discrete, rng_stream
@@ -514,7 +513,9 @@ def convergence_suite(
         # constant series are trivially co-monotone
         if np.all(x == x[0]) or np.all(y == y[0]):
             return 1.0
-        return float(_scipy_stats.spearmanr(x, y).statistic)
+        # imported here: scipy.stats is slow to load and only this needs it
+        from scipy import stats
+        return float(stats.spearmanr(x, y).statistic)
 
     corr_sw = corr(w, sw)
     corr_msw = corr(w, lo)

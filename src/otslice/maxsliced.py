@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
-from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
+from .measures import WEIGHT_SUM_TOL, DiscreteMeasure, _check_pair, moment_p, rng_stream
 from .ot1d import _equal_uniform, _pairings, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, _cost_matrix, wasserstein_exact
 from .sliced import _chunks, _projected_powers, _projections
@@ -276,8 +276,8 @@ def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
         np.any(plan.mass < 0.0)
         or a.shape != mu.weights.shape
         or b.shape != nu.weights.shape
-        or np.max(np.abs(a - mu.weights)) > 1e-9
-        or np.max(np.abs(b - nu.weights)) > 1e-9
+        or np.max(np.abs(a - mu.weights)) > WEIGHT_SUM_TOL
+        or np.max(np.abs(b - nu.weights)) > WEIGHT_SUM_TOL
     ):
         raise InvalidSpec("plan marginals do not match the measure weights")
 
@@ -374,8 +374,8 @@ def max_sliced_certified(
     already solved (``wasserstein_exact``); it feeds the coupling bound in
     place of a second solve. It is checked first: sizes that do not match
     raise :class:`DimensionMismatch`, another order or marginals that differ
-    from the weights by more than 1e-9 raise :class:`InvalidSpec`. When it is
-    None the search solves the plan itself.
+    from the weights by more than ``WEIGHT_SUM_TOL`` raise :class:`InvalidSpec`.
+    When it is None the search solves the plan itself.
 
     ``evaluations`` counts exact projected distances, one per patch center;
     no ascent runs. The first level is always evaluated; before each split,

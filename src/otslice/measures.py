@@ -34,8 +34,9 @@ from .errors import (
     WeightSumOutOfRange,
 )
 
-# Renormalization tolerance: weight sums within this distance of 1 are scaled
-# to sum exactly 1; anything further out is treated as a caller bug.
+# Weight sums within this distance of 1 are accepted (make_discrete scales them
+# to sum exactly 1); anything further out is treated as a caller bug. Transport
+# plans must meet their marginals to the same tolerance.
 WEIGHT_SUM_TOL = 1e-9
 
 
@@ -79,6 +80,53 @@ class DiscreteMeasure:
         return f"DiscreteMeasure(n={self.n}, dim={self.dim})"
 
 
+def _as_floats(values, what: str) -> np.ndarray:
+    """``values`` as floats: ragged nesting is a DimensionMismatch, a non-number an InvalidSpec."""
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:
+        raise DimensionMismatch(f"ragged {what} list: {exc}") from None
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{what} must be numbers: {exc}") from None
+
+
+def _checked(points, weights):
+    """The input checks of :func:`make_discrete`, without its renormalization.
+
+    Returns ``(pts, w, total)``: finite (n, d) points, which may share memory
+    with ``points``, their weights, and the weights' exact sum (1.0 for the
+    uniform default), which lies within ``WEIGHT_SUM_TOL`` of 1.
+    """
+    pts = _as_floats(points, "point")
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise EmptySupport("a measure needs at least one support point")
+    if pts.shape[1] == 0:
+        raise DimensionMismatch("points must have at least one coordinate")
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteCoordinates("support points must be finite")
+
+    n = pts.shape[0]
+    if weights is None:
+        return pts, np.full(n, 1.0 / n), 1.0
+    w = _as_floats(weights, "weight")
+    if w.shape != (n,):
+        raise DimensionMismatch(
+            f"got {w.shape[0] if w.ndim == 1 else w.shape} weights for {n} points"
+        )
+    if np.any(np.isnan(w)):
+        raise WeightSumOutOfRange("weights contain NaN")
+    if np.any(w < 0):
+        raise NegativeWeight("weights must be nonnegative")
+    s = math.fsum(w.tolist())
+    if not math.isfinite(s) or abs(s - 1.0) > WEIGHT_SUM_TOL:
+        raise WeightSumOutOfRange(f"weights sum to {s!r}, expected 1 within {WEIGHT_SUM_TOL}")
+    return pts, w, s
+
+
 def make_discrete(points, weights=None) -> DiscreteMeasure:
     """Validate and build a :class:`DiscreteMeasure`.
 
@@ -89,43 +137,10 @@ def make_discrete(points, weights=None) -> DiscreteMeasure:
     weights : array-like, shape (n,), optional
         Nonnegative weights. ``None`` means uniform 1/n. Sums within
         ``1e-9`` of 1 are renormalized to exactly 1; anything else raises.
+        Non-numeric points or weights raise :class:`InvalidSpec`.
     """
-    try:
-        pts = np.asarray(points, dtype=float)
-    except ValueError as exc:
-        raise DimensionMismatch(f"ragged point list: {exc}") from None
-    except TypeError as exc:
-        raise InvalidSpec(f"points must be numbers: {exc}") from None
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 1)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise EmptySupport("a measure needs at least one support point")
-    if pts.shape[1] == 0:
-        raise DimensionMismatch("points must have at least one coordinate")
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteCoordinates("support points must be finite")
-
-    n = pts.shape[0]
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        try:
-            w = np.asarray(weights, dtype=float)
-        except TypeError as exc:
-            raise InvalidSpec(f"weights must be numbers: {exc}") from None
-        if w.shape != (n,):
-            raise DimensionMismatch(
-                f"got {w.shape[0] if w.ndim == 1 else w.shape} weights for {n} points"
-            )
-        if np.any(np.isnan(w)):
-            raise WeightSumOutOfRange("weights contain NaN")
-        if np.any(w < 0):
-            raise NegativeWeight("weights must be nonnegative")
-        s = math.fsum(w.tolist())
-        if not math.isfinite(s) or abs(s - 1.0) > WEIGHT_SUM_TOL:
-            raise WeightSumOutOfRange(f"weights sum to {s!r}, expected 1 within {WEIGHT_SUM_TOL}")
-        w = w / s
-    return DiscreteMeasure(points=pts.copy(), weights=w, dim=pts.shape[1])
+    pts, w, total = _checked(points, weights)
+    return DiscreteMeasure(points=pts.copy(), weights=w / total, dim=pts.shape[1])
 
 
 def _check_order(p: float) -> None:

@@ -10,7 +10,8 @@ coupling, so plan cost and distance agree exactly.
 One merge, :func:`_merge_cum`, computes the sweep for R rows at once: one
 stable argsort of both rows' cumulative weights lists every breakpoint in
 order. The single-measure functions (:func:`wasserstein_1d`,
-:func:`monotone_coupling`) run it as one row on ``Measure1D.cum``. The
+:func:`monotone_coupling`) run it as one row on ``Measure1D.cum``, the
+simplex start of :mod:`otslice.ot_exact` on two weight vectors. The
 direction scans pair R rows of projected atoms through one kernel,
 :func:`_pairings`, which returns each row's W_p^p with its pairing;
 :func:`wasserstein_pp_batch` keeps only the value, and sorts equal-size
@@ -34,11 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentOutOfRange, DimensionMismatch
-from .measures import DiscreteMeasure, _check_order
-
-# Cumulative weights must land within this distance of 1 before the final
-# prefix sum is snapped to exactly 1.
-_CUM_TOL = 1e-9
+from .measures import DiscreteMeasure, _check_order, _checked
 
 
 @dataclass(frozen=True)
@@ -66,23 +63,19 @@ class Measure1D:
 def measure1d_from_samples(values, weights=None) -> Measure1D:
     """Build a :class:`Measure1D` from raw atoms, sorting and merging.
 
-    Only exactly equal atoms merge; zero-weight atoms are dropped.
+    ``values`` is flattened. Atoms and weights pass the checks of
+    :func:`~otslice.make_discrete` and raise its errors (a bad sum or a NaN
+    weight ``WeightSumOutOfRange``), but are not renormalized: only the last
+    cumulative weight is snapped to 1. Only exactly equal atoms merge;
+    zero-weight atoms are dropped.
     """
-    vals = np.asarray(values, dtype=float).ravel()
-    if weights is None:
-        w = np.full(vals.shape[0], 1.0 / vals.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape != vals.shape:
-            raise DimensionMismatch("atoms and weights must have equal length")
-    atoms, inverse = np.unique(vals, return_inverse=True)
+    vals, w, _ = _checked(np.ravel(values), weights)
+    atoms, inverse = np.unique(vals[:, 0], return_inverse=True)
     merged = np.zeros(atoms.shape[0])
     np.add.at(merged, inverse, w)
     keep = merged > 0.0
     atoms, merged = atoms[keep], merged[keep]
     cum = np.cumsum(merged)
-    if abs(cum[-1] - 1.0) > _CUM_TOL:
-        raise ArgumentOutOfRange(f"weights sum to {cum[-1]!r}, expected 1")
     # a sum just above 1 must not leave an earlier prefix above the snapped end
     np.minimum(cum, 1.0, out=cum)
     cum[-1] = 1.0
@@ -222,25 +215,6 @@ def _merge_cum(cx: np.ndarray, cy: np.ndarray):
     return mass, si, sj
 
 
-def _monotone_rows(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray):
-    """Monotone merge of each row of ``xs`` (R, n) with the same row of ``ys`` (R, m).
-
-    Returns ``(mass, i, j)``, each (R, n + m): segment k of row r pairs atom
-    ``i[r, k]`` of x with atom ``j[r, k]`` of y (original indices) with mass
-    ``mass[r, k]``, zero on ties. The cumulative weights are ``cumsum`` in
-    stably sorted order and go through :func:`_merge_cum` unnamed, which
-    snaps them to end at 1 and frees them once merged. Per row this costs
-    O((n + m) log(n + m)) time and O(n + m) memory.
-    """
-    ox = _sorted_rows(xs)[0]
-    oy = _sorted_rows(ys)[0]
-    mass, si, sj = _merge_cum(np.cumsum(wx[ox], axis=1), np.cumsum(wy[oy], axis=1))
-    # as in _merge_cum, each array is dropped once used
-    i = _take_rows(ox, si)
-    del ox, si
-    return mass, i, _take_rows(oy, sj)
-
-
 def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p: float,
               uniform: bool):
     """W_p^p between rows of ``xs`` and ``ys`` and the monotone pairing that gives it.
@@ -249,9 +223,10 @@ def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p:
     atom ``j[r, k]`` of y with mass ``mass[r, k]`` across the gap ``t[r, k]``.
     ``uniform`` is the caller's ``_equal_uniform(wx, wy)``, decided once per
     sweep. Equal-size uniform rows pair their stably sorted atoms one to one
-    with mass 1/n and ``value`` is the mean of |t|^p; other rows go through
-    :func:`_monotone_rows` (rows may hold segments of zero mass) and
-    ``value`` is sum mass |t|^p.
+    with mass 1/n and ``value`` is the mean of |t|^p. Other rows merge the
+    cumulative weights of their stably sorted atoms in :func:`_merge_cum`:
+    each (R, n + m), with segments of zero mass on ties, O((n + m) log(n + m))
+    time and O(n + m) memory per row, and ``value`` is sum mass |t|^p.
     """
     if uniform:
         # _sorted_rows: 240 us for the 11 x 1024 gradient batch of an ascent, 870 us stable
@@ -261,7 +236,14 @@ def _pairings(xs: np.ndarray, ys: np.ndarray, wx: np.ndarray, wy: np.ndarray, p:
         t = sx - sy
         mass = np.full(xs.shape, 1.0 / xs.shape[1])
     else:
-        mass, i, j = _monotone_rows(xs, ys, wx, wy)
+        ox = _sorted_rows(xs)[0]
+        oy = _sorted_rows(ys)[0]
+        # unnamed, the cumulative weights are freed once merged; each array is dropped once used
+        mass, si, sj = _merge_cum(np.cumsum(wx[ox], axis=1), np.cumsum(wy[oy], axis=1))
+        i = _take_rows(ox, si)
+        del ox, si
+        j = _take_rows(oy, sj)
+        del oy, sj
         t = _take_rows(xs, i)
         t -= _take_rows(ys, j)
     cost = np.abs(t)

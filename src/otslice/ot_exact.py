@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import ProblemTooLarge, SolverFailure
-from .measures import DiscreteMeasure, _check_pair
-from .ot1d import _equal_uniform, _monotone_rows
+from .measures import WEIGHT_SUM_TOL, DiscreteMeasure, _check_pair
+from .ot1d import _equal_uniform, _merge_cum
 
 # Dense cost-matrix size guard.
 MAX_DENSE_CELLS = 50_000_000
@@ -86,15 +85,13 @@ class DualCertificate:
 def _staircase(a: np.ndarray, b: np.ndarray) -> dict:
     """Start basis: the monotone staircase of the two weight vectors.
 
-    ``_monotone_rows`` on the atom ranks, as one row, steps through n + m
+    One :func:`_merge_cum` row on the cumulative weights steps through n + m
     cells from (0, 0) to (n - 1, m - 1), zeros included; clipping at the end
     repeats one cell, whose mass joins the cell it repeats. Cells of
     zero-weight atoms are set to 0, dropping the rounding that the snapped
     end of a cumulative sum can leave on them.
     """
-    n, m = a.shape[0], b.shape[0]
-    rows = _monotone_rows(np.arange(float(n))[None], np.arange(float(m))[None], a, b)
-    mass, i, j = (r[0] for r in rows)
+    mass, i, j = (r[0] for r in _merge_cum(np.cumsum(a)[None], np.cumsum(b)[None]))
     rep = int(np.flatnonzero((np.diff(i) == 0) & (np.diff(j) == 0))[0]) + 1
     mass[rep - 1] += mass[rep]
     mass[(a[i] == 0.0) | (b[j] == 0.0)] = 0.0
@@ -202,7 +199,8 @@ def _transportation_simplex(C, a, b):
     mass = np.fromiter(X.values(), dtype=float, count=len(X))
     row_sum = np.bincount(ci, weights=mass, minlength=n)
     col_sum = np.bincount(cj, weights=mass, minlength=m)
-    if np.max(np.abs(row_sum - a)) > 1e-9 or np.max(np.abs(col_sum - b)) > 1e-9:
+    if (np.max(np.abs(row_sum - a)) > WEIGHT_SUM_TOL
+            or np.max(np.abs(col_sum - b)) > WEIGHT_SUM_TOL):
         raise SolverFailure("marginal mismatch at claimed optimum")
     u, v = duals[:n], duals[n:]
     cost = float(mass @ C[ci, cj])
@@ -249,6 +247,8 @@ def _exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     duals = None
     if _equal_uniform(mu.weights, nu.weights):
         C = _cost_matrix(mu.points, nu.points, p)
+        # imported here: scipy.optimize is slow to load and only this branch needs it
+        from scipy.optimize import linear_sum_assignment
         i = np.arange(n)
         j = linear_sum_assignment(C)[1]
         mass = np.full(n, 1.0 / n)

@@ -153,6 +153,13 @@ class TestDist:
         assert main(["dist", str(f), str(f), "--metric", "w"]) == 2
         assert "InvalidSpec" in capsys.readouterr().err
 
+    def test_non_numeric_points_exit_2(self, tmp_path, capsys):
+        # a non-number is a spec error (exit 2), not a ragged list (DimensionMismatch, exit 3)
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"points": [["a", "b"]]}))
+        assert main(["dist", str(f), str(f), "--metric", "w"]) == 2
+        assert "InvalidSpec" in capsys.readouterr().err
+
     def test_dual_report(self, pair_files, tmp_path):
         a, b = pair_files
         out = tmp_path / "r.json"

@@ -263,6 +263,11 @@ INPUT_CHECKS = {
         {"points": {"a": 1}}))), InvalidSpec),
     "json_weights_object": (lambda t: load_measure(_file(t, "m.json", json.dumps(
         {"points": [[1.0], [2.0]], "weights": {"a": 1}}))), InvalidSpec),
+    # a non-number is a spec error, not a ragged list (DimensionMismatch) or a bare ValueError
+    "json_points_strings": (lambda t: load_measure(_file(t, "m.json", json.dumps(
+        {"points": [["a", "b"]]}))), InvalidSpec),
+    "json_weights_strings": (lambda t: load_measure(_file(t, "m.json", json.dumps(
+        {"points": [[1.0]], "weights": ["x"]}))), InvalidSpec),
 }
 
 

@@ -6,7 +6,12 @@ import pytest
 from otslice import (
     ArgumentOutOfRange,
     DimensionMismatch,
+    EmptySupport,
     InvalidOrder,
+    InvalidSpec,
+    NegativeWeight,
+    NonFiniteCoordinates,
+    WeightSumOutOfRange,
     make_discrete,
     measure1d_from_samples,
     monotone_coupling,
@@ -16,7 +21,7 @@ from otslice import (
     wasserstein_exact,
     wasserstein_pp_batch,
 )
-from otslice.ot1d import _merge_cum, _monotone_rows, _sorted_rows
+from otslice.ot1d import _merge_cum, _pairings, _sorted_rows
 from conftest import random_measure
 
 
@@ -54,6 +59,14 @@ class TestToMeasure1D:
     ([0.0, 1.0], [0.5, 0.5, 0.0], DimensionMismatch),
     ([0.0, 1.0], [0.5, 0.6], ArgumentOutOfRange),
     ([0.0, 1.0], [0.25, 0.25], ArgumentOutOfRange),
+    # make_discrete's checks: a negative weight must not be dropped silently, nor [] divide by 0
+    ([0.0, 1.0, 2.0], [0.5, 0.5, -0.3], NegativeWeight),
+    ([0.0, 1.0], [np.nan, 1.0], WeightSumOutOfRange),
+    ([0.0, np.nan], [0.5, 0.5], NonFiniteCoordinates),
+    ([0.0, np.inf], None, NonFiniteCoordinates),
+    ([], None, EmptySupport),
+    (["a", "b"], None, InvalidSpec),
+    ([0.0, 1.0], ["x", 1.0], InvalidSpec),
 ])
 def test_samples_with_bad_weights_raise(values, weights, error):
     with pytest.raises(error):
@@ -324,7 +337,7 @@ class TestMonotoneMerge:
     def test_rows_are_couplings(self, rng):
         for n, m in self.SIZES:
             xs, ys, wx, wy = weighted_rows(rng, 10, n, m)
-            mass, i, j = _monotone_rows(xs, ys, wx, wy)
+            mass, i, j = _pairings(xs, ys, wx, wy, 1.0, uniform=False)[2:]
             assert mass.shape == i.shape == j.shape == (10, n + m)
             assert np.all(mass >= 0.0)
             for r in range(10):
@@ -366,7 +379,7 @@ class TestRowSort:
             cx, cy = np.cumsum(wx[ox], axis=1), np.cumsum(wy[oy], axis=1)
             cx[:, -1] = cy[:, -1] = 1.0
             ref_mass, si, sj = _merge_cum(cx, cy)
-            mass, i, j = _monotone_rows(xs, ys, wx, wy)
+            mass, i, j = _pairings(xs, ys, wx, wy, 1.0, uniform=False)[2:]
             assert np.array_equal(mass, ref_mass)
             assert np.array_equal(i, np.take_along_axis(ox, si, axis=1))
             assert np.array_equal(j, np.take_along_axis(oy, sj, axis=1))

@@ -13,6 +13,7 @@ from otslice import (
     projected_distance,
     wasserstein_1d,
 )
+from otslice.ot1d import _pairings
 from test_ot1d import searchsorted_pp
 
 ORDERS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
@@ -84,6 +85,20 @@ class TestCouplingProperties:
         assert np.all(np.diff(c.i) >= 0) and np.all(np.diff(c.j) >= 0)
         # consecutive segments never pair the same two atoms
         assert np.all((np.diff(c.i) > 0) | (np.diff(c.j) > 0))
+
+
+class TestWeightedPairingProperties:
+    @PROPERTY_SETTINGS
+    @given(a=weighted_cloud(), b=weighted_cloud(), p=ORDERS, scale=SCALES)
+    def test_one_row_is_the_1d_coupling(self, a, b, p, scale):
+        # the weighted kernel on raw atoms: lattice ties, duplicates, zero weights, n = 1
+        x, y = scale * a[0][:, 0], scale * b[0][:, 0]
+        value, _, mass, i, j = _pairings(x[None], y[None], a[1], b[1], p, uniform=False)
+        assert np.all(mass >= 0.0)
+        assert np.allclose(np.bincount(i[0], mass[0], x.size), a[1], rtol=0, atol=1e-12)
+        assert np.allclose(np.bincount(j[0], mass[0], y.size), b[1], rtol=0, atol=1e-12)
+        w = wasserstein_1d(measure1d_from_samples(x, a[1]), measure1d_from_samples(y, b[1]), p)
+        assert value[0] == pytest.approx(w**p, rel=1e-12)
 
 
 class TestProjectedCostProperties:
