@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentOutOfRange, DimensionMismatch
-from .measures import DiscreteMeasure, _check_order, _checked
+from .measures import DiscreteMeasure, _as_floats, _check_order, _checked
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,17 @@ class Measure1D:
 def measure1d_from_samples(values, weights=None) -> Measure1D:
     """Build a :class:`Measure1D` from raw atoms, sorting and merging.
 
-    ``values`` is flattened. Atoms and weights pass the checks of
-    :func:`~otslice.make_discrete` and raise its errors (a bad sum or a NaN
-    weight ``WeightSumOutOfRange``), but are not renormalized: only the last
-    cumulative weight is snapped to 1. Only exactly equal atoms merge;
+    ``values`` has shape (n,) or (n, 1); any other shape, ragged nesting
+    included, raises ``DimensionMismatch``. Atoms and weights pass the checks
+    of :func:`~otslice.make_discrete` and raise its errors (a bad sum or a
+    NaN weight ``WeightSumOutOfRange``), but are not renormalized: only the
+    last cumulative weight is snapped to 1. Only exactly equal atoms merge;
     zero-weight atoms are dropped.
     """
-    vals, w, _ = _checked(np.ravel(values), weights)
+    vals = _as_floats(values, "atom")
+    if vals.ndim == 0 or vals.shape[1:] not in ((), (1,)):
+        raise DimensionMismatch(f"1D atoms need shape (n,) or (n, 1), got {vals.shape}")
+    vals, w, _ = _checked(vals, weights)
     atoms, inverse = np.unique(vals[:, 0], return_inverse=True)
     merged = np.zeros(atoms.shape[0])
     np.add.at(merged, inverse, w)

@@ -11,11 +11,13 @@ the points. Every solve ends with a complementary-slackness, marginal and
 strong-duality audit; anything suspicious raises :class:`SolverFailure`.
 
 Equal-size uniform-weight instances route to a cubic-time assignment solve
-(`scipy.optimize.linear_sum_assignment`), which is what makes the n ~ 1000
-rate experiments tractable.
+(`scipy.optimize.linear_sum_assignment`, imported when that branch runs),
+which is what makes the n ~ 1000 rate experiments tractable.
 
-Costs are |x - y|^p with the Euclidean norm; the p-th root is applied only
-when reporting, never inside the solver.
+Costs are |x - y|^p with the Euclidean norm, filled by a numpy kernel that
+rounds exactly as `scipy.spatial.distance.cdist` does, so importing this
+module loads no scipy; the p-th root is applied only when reporting, never
+inside the solver.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ProblemTooLarge, SolverFailure
 from .measures import WEIGHT_SUM_TOL, DiscreteMeasure, _check_pair
 from .ot1d import _equal_uniform, _merge_cum
+from .sliced import _chunks
 
 # Dense cost-matrix size guard.
 MAX_DENSE_CELLS = 50_000_000
@@ -211,10 +213,31 @@ def _transportation_simplex(C, a, b):
 
 
 def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
-    if len(x) * len(y) > MAX_DENSE_CELLS:
-        raise ProblemTooLarge(f"{len(x)} x {len(y)} cost matrix exceeds the dense guard")
-    D = cdist(x, y)
-    return D if p == 1 else D**p
+    """The (n, m) matrix |x_i - y_j|^p of two (n, d) and (m, d) point arrays.
+
+    Each entry sums (x_ik - y_jk)^2 over k = 0..d-1 from left to right, then
+    takes the square root: ``cdist``'s own order, so the matrix equals
+    ``cdist(x, y) ** p`` bit for bit. Rows are filled in the blocks of
+    :func:`~otslice.sliced._chunks` through one reused block-sized
+    temporary, and the root and power are taken in place, so the output is
+    the only (n, m) array ever allocated.
+    """
+    n, m = len(x), len(y)
+    if n * m > MAX_DENSE_CELLS:
+        raise ProblemTooLarge(f"{n} x {m} cost matrix exceeds the dense guard")
+    D = np.zeros((n, m))
+    blocks = _chunks(n, m)
+    tmp = np.empty_like(D[blocks[0]])
+    for rows in blocks:
+        out = D[rows]
+        t = tmp[: out.shape[0]]
+        for k in range(x.shape[1]):
+            np.subtract.outer(x[rows, k], y[:, k], out=t)
+            out += np.square(t, out=t)
+    np.sqrt(D, out=D)
+    if p != 1:
+        D **= p
+    return D
 
 
 def _lex_order(points: np.ndarray) -> np.ndarray:

@@ -26,3 +26,35 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def _loaded_scipy(code):
+    """Names of the scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    src = str(Path(otslice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code += "\nprint(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_scipy("import sys, otslice") == "[]"
+
+
+def test_weighted_paths_load_no_scipy(tmp_path):
+    # the cost matrix is numpy's: W, SW, the certified search and the audit
+    # on weighted pairs need no scipy module at all
+    a, b, out = (str(tmp_path / name) for name in ("a.csv", "b.csv", "out.json"))
+    code = f"""
+import sys
+import numpy as np
+from otslice import cli, experiments, make_discrete, save_measure
+rng = np.random.default_rng(5)
+save_measure({a!r}, make_discrete(rng.standard_normal((7, 2)), rng.dirichlet(np.ones(7))))
+save_measure({b!r}, make_discrete(rng.standard_normal((9, 2)), rng.dirichlet(np.ones(9))))
+assert cli.main(["dist", {a!r}, {b!r}, "--metric", "all", "--p", "2", "--certified",
+                 "--tol", "1e-4", "--threads", "1", "--out", {out!r}]) == 0
+experiments.inequality_audit(d_list=[2, 3], p_list=[1, 2], instances_per_cell=1, seed=3)
+"""
+    assert _loaded_scipy(code) == "[]"

@@ -47,6 +47,12 @@ class TestToMeasure1D:
         with pytest.raises(DimensionMismatch):
             to_measure1d(make_discrete([[0.0, 1.0]], [1.0]))
 
+    def test_column_atoms_equal_flat_atoms(self, rng):
+        vals, w = np.round(rng.standard_normal(40), 1), rng.dirichlet(np.ones(40))
+        flat, column = line(vals, w), line(vals[:, None], w)
+        for field in ("atoms", "weights", "cum"):
+            assert np.array_equal(getattr(flat, field), getattr(column, field))
+
     def test_cum_ends_at_one(self, rng):
         vals = rng.standard_normal(500)
         m = line(vals, rng.dirichlet(np.ones(500)))
@@ -67,6 +73,9 @@ class TestToMeasure1D:
     ([], None, EmptySupport),
     (["a", "b"], None, InvalidSpec),
     ([0.0, 1.0], ["x", 1.0], InvalidSpec),
+    # atoms of shape other than (n,) or (n, 1) are not flattened into a bigger support
+    ([[0, 5], [1, 6], [2, 7]], None, DimensionMismatch),
+    ([[0.0, 5.0], [1.0]], None, DimensionMismatch),
 ])
 def test_samples_with_bad_weights_raise(values, weights, error):
     with pytest.raises(error):

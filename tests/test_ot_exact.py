@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from otslice import (
 )
 from otslice import ot_exact
 from otslice.ot1d import monotone_coupling
-from otslice.ot_exact import _solve_simplex
+from otslice.ot_exact import _cost_matrix, _solve_simplex
+from otslice.sliced import CHUNK_ELEMENTS
 from conftest import random_measure, random_pair
 
 
@@ -167,6 +169,51 @@ class TestWassersteinExact:
         big = make_discrete(np.zeros((10_000, 1)))
         with pytest.raises(ProblemTooLarge):
             wasserstein_exact(big, big, 1.0)
+
+
+def _peak_bytes(fn):
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestCostMatrix:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 37), (23, 1), (300, 70), (1, 20000), (40, 413)])
+    def test_equals_cdist_bit_for_bit(self, n, m):
+        # 300 x 70 and 1 x 20000 end in a partial row block of the chunk rule
+        rng = np.random.default_rng(n * 100_003 + m)
+        scales = (1e-9, 1e-3, 1.0, 1e4, 1e8)
+        for d in range(1, 33):
+            scale = scales[d % len(scales)]
+            x = rng.standard_normal((n, d)) * scale
+            y = rng.standard_normal((m, d)) * scale
+            y[: m // 2] = x[rng.integers(0, n, m // 2)]  # duplicate atoms across the pair
+            ties = np.round(2 * rng.standard_normal((n, d))) * scale / 2  # lattice ties
+            for a, b in ((x, y), (ties, ties[rng.integers(0, n, m)]), (x, x[::-1])):
+                ref = cdist(a, b)
+                assert np.array_equal(_cost_matrix(a, b, 1.0), ref)
+                for p in (1.5, 2.0, 3.0):
+                    assert np.array_equal(_cost_matrix(a, b, p), ref**p)
+
+    def test_guard_raises_before_allocating(self, monkeypatch):
+        x = np.zeros((2000, 2))
+        monkeypatch.setattr(ot_exact, "MAX_DENSE_CELLS", 2000 * 2000 - 1)
+        peak, _ = _peak_bytes(lambda: pytest.raises(ProblemTooLarge, _cost_matrix, x, x, 1.0))
+        assert peak < 8 * 2000 * 2000 // 100
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_peak_is_the_output_and_one_block(self, rng, p):
+        # an unblocked kernel would hold a second 512 x 512 array (2 MiB); the
+        # allowance is numpy's own iterator buffers (getbufsize() elements for
+        # each of the two broadcast operands) and a few KiB of Python objects
+        x, y = rng.standard_normal((512, 3)), rng.standard_normal((512, 3))
+        _cost_matrix(x, y, p)
+        peak, D = _peak_bytes(lambda: _cost_matrix(x, y, p))
+        assert peak <= D.nbytes + 8 * CHUNK_ELEMENTS + 2 * 8 * np.getbufsize() + 8192
 
 
 class TestDuality:
