@@ -4,8 +4,8 @@ Exit codes: 0 success (and, for suite commands, all assertions passed);
 1 suite assertion failed; 2 input parse/validation error; 3 dimension
 mismatch; 4 solver failure or problem too large. A certified search that
 spends its evaluation budget is no failure: it reports the wider bracket it
-holds. All reports carry ``"schema": 1`` and floats serialize through repr,
-so outputs round-trip exactly.
+holds, and one stderr line says so. All reports carry ``"schema": 1`` and
+floats serialize through repr, so outputs round-trip exactly.
 """
 
 from __future__ import annotations
@@ -159,6 +159,9 @@ def cmd_dist(args) -> int:
         t0 = time.perf_counter()
         if args.certified:
             res = max_sliced_certified(mu, nu, p, args.tol, plan=plan)
+            if res.upper - res.lower > args.tol:  # the budget stopped it: say so beside the JSON
+                print(f"maxsw: budget spent after {res.evaluations} evaluations; bracket width "
+                      f"{res.upper - res.lower:.6g} > --tol {args.tol:g}", file=sys.stderr)
         else:
             res = max_sliced(mu, nu, p, starts=args.starts, seed=args.seed)
         metrics["maxsw"] = {

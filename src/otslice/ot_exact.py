@@ -10,9 +10,10 @@ are relative to the largest cost, so results do not depend on the units of
 the points. Every solve ends with a complementary-slackness, marginal and
 strong-duality audit; anything suspicious raises :class:`SolverFailure`.
 
-Equal-size uniform-weight instances route to a cubic-time assignment solve
-(`scipy.optimize.linear_sum_assignment`, imported when that branch runs),
-which is what makes the n ~ 1000 rate experiments tractable.
+Equal-size uniform-weight instances route to a cubic-time assignment solve,
+which is what makes the n ~ 1000 rate experiments tractable: scipy's compiled
+`linear_sum_assignment`, loaded from `scipy.optimize._lsap` alone when that
+branch first runs, so no scipy package (linalg, linprog, OpenBLAS) loads.
 
 Costs are |x - y|^p with the Euclidean norm, filled by a numpy kernel that
 rounds exactly as `scipy.spatial.distance.cdist` does, so importing this
@@ -22,7 +23,12 @@ inside the solver.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import ExtensionFileLoader, PathFinder
 from itertools import islice
 
 import numpy as np
@@ -220,7 +226,8 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     ``cdist(x, y) ** p`` bit for bit. Rows are filled in the blocks of
     :func:`~otslice.sliced._chunks` through one reused block-sized
     temporary, and the root and power are taken in place, so the output is
-    the only (n, m) array ever allocated.
+    the only (n, m) array ever allocated. Costs that overflow float64, or
+    leave the solvers' sums no headroom, raise :class:`ProblemTooLarge`.
     """
     n, m = len(x), len(y)
     if n * m > MAX_DENSE_CELLS:
@@ -228,15 +235,19 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     D = np.zeros((n, m))
     blocks = _chunks(n, m)
     tmp = np.empty_like(D[blocks[0]])
-    for rows in blocks:
-        out = D[rows]
-        t = tmp[: out.shape[0]]
-        for k in range(x.shape[1]):
-            np.subtract.outer(x[rows, k], y[:, k], out=t)
-            out += np.square(t, out=t)
-    np.sqrt(D, out=D)
-    if p != 1:
-        D **= p
+    with np.errstate(over="ignore"):
+        for rows in blocks:
+            out = D[rows]
+            t = tmp[: out.shape[0]]
+            for k in range(x.shape[1]):
+                np.subtract.outer(x[rows, k], y[:, k], out=t)
+                out += np.square(t, out=t)
+        np.sqrt(D, out=D)
+        if p != 1:
+            D **= p
+    top = float(np.max(D))  # simplex duals sum up to n + m - 1 costs, the assignment's n
+    if not top <= np.finfo(float).max / (2 * (n + m)):
+        raise ProblemTooLarge(f"{n} x {m} costs |x - y|^{p:g} overflow float64 (max {top:.3g})")
     return D
 
 
@@ -263,6 +274,23 @@ def _solve_simplex(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     return oa[i], ob[j], mass, u, v, cost
 
 
+@functools.cache
+def _assignment_solver():
+    """``scipy.optimize.linear_sum_assignment``, the very object, loaded from its
+    extension module without running ``scipy/optimize/__init__``; the public
+    import serves once that has run, or where ``_lsap`` is not a compiled file."""
+    name, scipy = "scipy.optimize._lsap", importlib.util.find_spec("scipy")
+    where = [os.path.join(d, "optimize") for d in (scipy and scipy.submodule_search_locations) or ()]
+    spec = PathFinder.find_spec(name, where)
+    if name not in sys.modules and isinstance(getattr(spec, "loader", None), ExtensionFileLoader):
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)  # its init registers it, and its package lacks it
+        return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
+
 def _exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Plan of :func:`wasserstein_exact` and simplex duals [u, v] (None on the assignment path)."""
     _check_pair(mu, nu, p)
@@ -270,10 +298,8 @@ def _exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     duals = None
     if _equal_uniform(mu.weights, nu.weights):
         C = _cost_matrix(mu.points, nu.points, p)
-        # imported here: scipy.optimize is slow to load and only this branch needs it
-        from scipy.optimize import linear_sum_assignment
         i = np.arange(n)
-        j = linear_sum_assignment(C)[1]
+        j = _assignment_solver()(C)[1]
         mass = np.full(n, 1.0 / n)
         cost = float(C[i, j].sum() / n)
     else:

@@ -2,10 +2,11 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
-from otslice import (Scheme, cli, dual_potentials_w1, load_measure, max_sliced_certified, ot_exact,
-                     save_measure, wasserstein_exact)
+from otslice import (Scheme, cli, dual_potentials_w1, load_measure, make_discrete,
+                     max_sliced_certified, ot_exact, save_measure, wasserstein_exact)
 from otslice.cli import main
 from conftest import random_pair
 
@@ -145,6 +146,36 @@ class TestDist:
         metrics = json.loads(out.read_text())["metrics"]
         assert metrics["maxsw"]["upper"] - metrics["maxsw"]["lower"] > 1e-6
         assert metrics["maxsw"]["lower"] <= metrics["w"]["value"]
+
+    def test_budget_stopped_certified_maxsw_says_so_on_stderr(self, tmp_path, monkeypatch,
+                                                               rng, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, m in zip((a, b), random_pair(rng, 3, max_atoms=10)):
+            save_measure(path, m)
+        argv = ["dist", str(a), str(b), "--metric", "maxsw", "--certified", "--tol", "1e-6"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""  # a converged search writes nothing there
+        monkeypatch.setattr(cli, "max_sliced_certified",
+                            functools.partial(max_sliced_certified, eval_budget=20))
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        maxsw = json.loads(out)["metrics"]["maxsw"]
+        assert err.count("\n") == 1
+        assert f"bracket width {maxsw['upper'] - maxsw['lower']:.6g} > --tol 1e-06" in err
+        assert f"after {maxsw['evaluations']} evaluations" in err
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_overflowing_costs_exit_4(self, tmp_path, capsys, weighted):
+        # the weighted pair used to end in a KeyError traceback inside the simplex,
+        # the uniform pair in "input error: cost matrix is infeasible" (exit 2)
+        gen = np.random.default_rng(4)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_measure(a, make_discrete(gen.standard_normal((4, 2)) * 1e160,
+                                      gen.dirichlet(np.ones(4)) if weighted else None))
+        save_measure(b, make_discrete(gen.standard_normal((4, 2)) * 1e160))
+        assert main(["dist", str(a), str(b), "--metric", "w", "--p", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "ProblemTooLarge" in err and "overflow float64" in err
 
     def test_json_field_of_wrong_type_exit_2(self, tmp_path, capsys):
         # used to end in a TypeError traceback and exit 1, the suite-failure code

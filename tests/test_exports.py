@@ -18,8 +18,8 @@ def test_exported_name_resolves(name):
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    # they took about half the import time; the assignment solve and
-    # convergence_suite import them when they run
+    # they took about half the import time; convergence_suite imports
+    # scipy.stats when it runs, and nothing imports scipy.optimize
     src = str(Path(otslice.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, otslice; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
@@ -58,3 +58,17 @@ assert cli.main(["dist", {a!r}, {b!r}, "--metric", "all", "--p", "2", "--certifi
 experiments.inequality_audit(d_list=[2, 3], p_list=[1, 2], instances_per_cell=1, seed=3)
 """
     assert _loaded_scipy(code) == "[]"
+
+
+def test_rates_path_loads_no_scipy_package():
+    # the assignment solve loads scipy's compiled _lsap module on its own: no
+    # scipy.optimize, whose __init__ pulls in scipy.linalg, linprog and OpenBLAS
+    code = """
+import sys
+import numpy as np
+from otslice import experiments, make_discrete, wasserstein_exact
+experiments.rate_experiment(d=3, n_list=[4, 8, 16, 32], reps=1, seed=2)
+rng = np.random.default_rng(6)
+wasserstein_exact(make_discrete(rng.random((12, 3))), make_discrete(rng.random((12, 3))), 1.5)
+"""
+    assert _loaded_scipy(code) == "[]"  # no scipy.optimize, scipy.linalg or even scipy

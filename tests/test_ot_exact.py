@@ -1,9 +1,11 @@
 import math
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from otslice import (
@@ -214,6 +216,77 @@ class TestCostMatrix:
         _cost_matrix(x, y, p)
         peak, D = _peak_bytes(lambda: _cost_matrix(x, y, p))
         assert peak <= D.nbytes + 8 * CHUNK_ELEMENTS + 2 * 8 * np.getbufsize() + 8192
+
+
+class TestOverflow:
+    # costs past float64 used to reach the solvers: a KeyError inside the
+    # simplex, "cost matrix is infeasible" from the assignment solve, or an
+    # infinite W from the assignment's sum. No RuntimeWarning may escape
+    # (the suite turns them into errors).
+    @pytest.mark.parametrize("weighted", [False, True])  # assignment path, simplex path
+    def test_overflowing_costs_raise(self, weighted):
+        gen = np.random.default_rng(9)
+        mu = make_discrete(gen.standard_normal((5, 2)) * 1e160,
+                           gen.dirichlet(np.ones(5)) if weighted else None)
+        nu = make_discrete(gen.standard_normal((5, 2)) * 1e160)
+        with pytest.raises(ProblemTooLarge, match="overflow float64"):
+            wasserstein_exact(mu, nu, 2.0)
+
+    def test_costs_without_headroom_raise(self):
+        # each cost (1.69e308) is finite, but the assignment summed four of them
+        # to inf; the weighted pair, whose W is the same 1.3e154, raises alike
+        b = make_discrete(np.arange(4.0)[:, None] * 1e4 + 1.3e154)
+        for w in (None, [0.1, 0.2, 0.3, 0.4]):
+            with pytest.raises(ProblemTooLarge, match="overflow float64"):
+                wasserstein_exact(make_discrete(np.zeros((4, 1)), w), b, 2.0)
+        # costs with headroom still solve, on both paths
+        far = make_discrete(np.arange(4.0)[:, None] * 1e140 + 1e150)
+        for w in (None, [0.1, 0.2, 0.3, 0.4]):
+            plan = wasserstein_exact(make_discrete(np.zeros((4, 1)), w), far, 2.0)
+            assert math.isfinite(plan.primal_value) and plan.primal_value >= 1e150
+
+
+@pytest.fixture
+def fresh_solver():
+    """Clear the cached assignment solver before and after the test."""
+    ot_exact._assignment_solver.cache_clear()
+    yield
+    ot_exact._assignment_solver.cache_clear()
+
+
+class TestAssignmentSolver:
+    def _matrices(self):
+        gen = np.random.default_rng(12)
+        lattice = np.round(2 * gen.standard_normal((60, 3))) / 2  # ties and duplicate atoms
+        return [gen.random((50, 50)), cdist(lattice, lattice[::-1]) ** 2,
+                cdist(lattice[:40], lattice[20:]), gen.random((9, 14)), gen.random((14, 9)),
+                gen.random((1, 1))]
+
+    def test_loaded_kernel_matches_scipy(self, monkeypatch, fresh_solver):
+        # with the extension not yet registered, the solver loads it from its
+        # file and leaves sys.modules as it found it
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        solve = ot_exact._assignment_solver()
+        assert "scipy.optimize._lsap" not in sys.modules
+        for C in self._matrices():
+            rows, cols = solve(C)
+            ref_rows, ref_cols = linear_sum_assignment(C)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    def test_fallback_gives_equal_values(self, monkeypatch, fresh_solver):
+        gen = np.random.default_rng(13)
+        pairs = [(make_discrete(gen.standard_normal((n, 3))), make_discrete(gen.standard_normal((n, 3))))
+                 for n in (1, 7, 64)]
+
+        def values():
+            return [wasserstein_exact(a, b, p).primal_value for a, b in pairs for p in (1.0, 1.5, 2.0)]
+
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        loaded = values()
+        ot_exact._assignment_solver.cache_clear()
+        monkeypatch.setattr(ot_exact, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+        assert ot_exact._assignment_solver() is linear_sum_assignment
+        assert values() == loaded
 
 
 class TestDuality:
