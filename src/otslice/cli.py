@@ -15,10 +15,10 @@ import json
 import math
 import os
 import sys
-import time
 
 from . import experiments
 from .errors import DimensionMismatch, OTSliceError, ProblemTooLarge, SolverFailure
+from .experiments import _timed
 from .measures import load_measure
 from .maxsliced import _check_starts, _check_tol, max_sliced, max_sliced_certified
 from .ot_exact import _certificate, _exact, dual_potentials_w1, wasserstein_exact
@@ -37,22 +37,21 @@ def _parse_scheme(text: str) -> Scheme:
     raise argparse.ArgumentTypeError(f"scheme must look like quad:RES or mc:N, got {text!r}")
 
 
-def _parse_int_list(text: str):
-    """Comma-separated ints, optionally in brackets (a JSON list's text)."""
-    return [int(tok) for tok in text.strip("[]").split(",") if tok.strip()]
+def _list_of(kind):
+    """A flag type: comma-separated ``kind`` values, optionally in brackets (a JSON list's text)."""
+    def parse(text: str):
+        return [kind(tok) for tok in text.strip("[]").split(",") if tok.strip()]
+    parse.__name__ = f"{kind.__name__} list"  # argparse names the type in its errors
+    return parse
 
 
-def _parse_float_list(text: str):
-    """Comma-separated floats, optionally in brackets (a JSON list's text)."""
-    return [float(tok) for tok in text.strip("[]").split(",") if tok.strip()]
-
-
-def _emit(report: dict, args) -> None:
+def _write_json(report: dict, path) -> str:
+    """``report`` as indented JSON text, also written with a final newline to ``path`` if given."""
     text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    return text
 
 
 def _apply_config(args) -> dict:
@@ -119,14 +118,10 @@ def cmd_dist(args) -> int:
     plan = None
 
     if "w" in wanted:
-        t0 = time.perf_counter()
         # one simplex solve serves the plan and the duals
-        plan, duals = _exact(mu, nu, p) if args.dual else (wasserstein_exact(mu, nu, p), None)
-        entry = {
-            "value": plan.primal_value,
-            "plan_support": int(plan.mass.shape[0]),
-            "time_s": time.perf_counter() - t0,
-        }
+        solve = _exact if args.dual else lambda *a: (wasserstein_exact(*a), None)
+        (plan, duals), secs = _timed(solve, mu, nu, p)
+        entry = {"value": plan.primal_value, "plan_support": int(plan.mass.shape[0]), "time_s": secs}
         if args.dual:
             cert = dual_potentials_w1(mu, nu) if duals is None else _certificate(mu, nu, *duals)
             entry["dual_value"] = cert.dual_value
@@ -143,8 +138,7 @@ def cmd_dist(args) -> int:
         scheme = args.scheme if args.scheme is not None else default_scheme(mu.dim)
         if scheme.kind == "monte_carlo":
             scheme = Scheme.monte_carlo(scheme.count, seed=args.seed)
-        t0 = time.perf_counter()
-        est_norm = sliced_wasserstein(mu, nu, p, scheme, normalized=True)
+        est_norm, secs = _timed(sliced_wasserstein, mu, nu, p, scheme, normalized=True)
         # both conventions are reported to prevent cross-convention confusion
         factor = surface_area(mu.dim) ** (1.0 / p)
         metrics["sw"] = {
@@ -152,24 +146,23 @@ def cmd_dist(args) -> int:
             "value_unnormalized": est_norm.value * factor,
             "stderr": est_norm.stderr,
             "scheme": est_norm.scheme.describe(),
-            "time_s": time.perf_counter() - t0,
+            "time_s": secs,
         }
 
     if "maxsw" in wanted:
-        t0 = time.perf_counter()
         if args.certified:
-            res = max_sliced_certified(mu, nu, p, args.tol, plan=plan)
+            res, secs = _timed(max_sliced_certified, mu, nu, p, args.tol, plan=plan)
             if res.upper - res.lower > args.tol:  # the budget stopped it: say so beside the JSON
                 print(f"maxsw: budget spent after {res.evaluations} evaluations; bracket width "
                       f"{res.upper - res.lower:.6g} > --tol {args.tol:g}", file=sys.stderr)
         else:
-            res = max_sliced(mu, nu, p, starts=args.starts, seed=args.seed)
+            res, secs = _timed(max_sliced, mu, nu, p, starts=args.starts, seed=args.seed)
         metrics["maxsw"] = {
             "lower": res.lower,
             "upper": res.upper if math.isfinite(res.upper) else None,  # ascent: no bound
             "direction": res.v_star.tolist(),
             "evaluations": res.evaluations,
-            "time_s": time.perf_counter() - t0,
+            "time_s": secs,
         }
 
     report = {
@@ -180,7 +173,7 @@ def cmd_dist(args) -> int:
         "seed": args.seed,
         "metrics": metrics,
     }
-    _emit(report, args)
+    print(_write_json(report, args.out))
     return 0
 
 
@@ -224,8 +217,7 @@ def cmd_rates(args) -> int:
         experiments.write_records_jsonl(records, args.out + ".jsonl")
         if args.format == "csv":
             experiments.write_records_csv(records, args.out + ".csv")
-        with open(args.out + ".summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_json(summary, args.out + ".summary.json")
     for fit in fits:
         print(f"{fit.estimator:8s} slope {fit.slope:+.4f}  residual {fit.residual:.4f}")
     for key, ok in verdicts.items():
@@ -254,8 +246,7 @@ def cmd_audit(args) -> int:
         **report.to_dict(),
     }
     if args.out:
-        with open(args.out + ".summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_json(summary, args.out + ".summary.json")
     print(f"violations: {report.violation_count}")
     for kind, count in report.violations_by_kind.items():
         print(f"  {kind}: {count}")
@@ -273,8 +264,7 @@ def cmd_cdscan(args) -> int:
     )
     summary = {"schema": SCHEMA, "command": "cdscan", **report.to_dict()}
     if args.out:
-        with open(args.out + ".summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_json(summary, args.out + ".summary.json")
     print(
         f"C_{args.d} lower bound: {report.lower_bound!r} "
         f"(best instance {report.best_instance}, skipped {report.skipped})"
@@ -315,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rates", help="two-sample empirical convergence rates")
     sp.add_argument("--d", type=int, default=3)
-    sp.add_argument("--n-list", type=_parse_int_list, default=[64, 128, 256, 512, 1024])
+    sp.add_argument("--n-list", type=_list_of(int), default=[64, 128, 256, 512, 1024])
     sp.add_argument("--reps", type=int, default=20)
     sp.add_argument("--p", type=float, default=1.0)
     sp.add_argument("--format", choices=("json", "csv"), default="json",
@@ -324,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_rates)
 
     sp = sub.add_parser("audit", help="sandwich-inequality audit over random instances")
-    sp.add_argument("--d-list", type=_parse_int_list, default=[2, 3])
-    sp.add_argument("--p-list", type=_parse_float_list, default=[1.0, 2.0])
+    sp.add_argument("--d-list", type=_list_of(int), default=[2, 3])
+    sp.add_argument("--p-list", type=_list_of(float), default=[1.0, 2.0])
     sp.add_argument("--instances", type=int, default=25, help="instances per (d, p) cell")
     sp.add_argument("--tol", type=float, default=1e-4, help="certified bracket width")
     common(sp)

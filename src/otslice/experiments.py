@@ -38,6 +38,13 @@ from .sliced import default_scheme, sliced_wasserstein
 from .sphere import as_unit
 
 
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the seconds it took, as ``(result, seconds)``."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
 def _parallel_map(fn: Callable, items: Sequence, threads: int):
     """Order-preserving map; results are independent of the thread count."""
     if threads <= 1:
@@ -152,25 +159,14 @@ def rate_experiment(
     def run_cell(task):
         n_idx, rep = task
         n = n_list[n_idx]
-        out = []
         mu = generate(GeneratorSpec.empirical_of(cube, n), _child_seed(seed, n_idx, rep, 0))
         nu = generate(GeneratorSpec.empirical_of(cube, n), _child_seed(seed, n_idx, rep, 1))
-
-        t0 = time.perf_counter()
-        w = wasserstein_exact(mu, nu, p).primal_value
-        t1 = time.perf_counter()
-        out.append(ExperimentRecord(d, p, n, rep, "W_exact", w, 0.0, seed, t1 - t0))
-
-        t0 = time.perf_counter()
-        sw = sliced_wasserstein(mu, nu, p, scheme, normalized=True)
-        t1 = time.perf_counter()
-        out.append(ExperimentRecord(d, p, n, rep, "SW", sw.value, sw.stderr, seed, t1 - t0))
-
-        t0 = time.perf_counter()
-        msw = max_sliced(mu, nu, p, starts=8, seed=_child_seed(seed, n_idx, rep, 2))
-        t1 = time.perf_counter()
-        out.append(ExperimentRecord(d, p, n, rep, "maxSW", msw.lower, 0.0, seed, t1 - t0))
-        return out
+        w, w_s = _timed(wasserstein_exact, mu, nu, p)
+        sw, sw_s = _timed(sliced_wasserstein, mu, nu, p, scheme, normalized=True)
+        msw, msw_s = _timed(max_sliced, mu, nu, p, starts=8, seed=_child_seed(seed, n_idx, rep, 2))
+        return [ExperimentRecord(d, p, n, rep, "W_exact", w.primal_value, 0.0, seed, w_s),
+                ExperimentRecord(d, p, n, rep, "SW", sw.value, sw.stderr, seed, sw_s),
+                ExperimentRecord(d, p, n, rep, "maxSW", msw.lower, 0.0, seed, msw_s)]
 
     tasks = [(n_idx, rep) for n_idx in range(len(n_list)) for rep in range(reps)]
     nested = _parallel_map(run_cell, tasks, threads)

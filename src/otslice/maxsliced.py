@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import WEIGHT_SUM_TOL, DiscreteMeasure, _check_pair, moment_p, rng_stream
-from .ot1d import _equal_uniform, _pairings, to_measure1d, wasserstein_1d
+from .ot1d import _equal_uniform, _no_overflow, _pairings, to_measure1d, wasserstein_1d
 from .ot_exact import TransportPlan, _cost_matrix, wasserstein_exact
 from .sliced import _chunks, _projected_powers, _projections
 from .sphere import as_unit, project
@@ -56,9 +56,13 @@ class DirectionResult:
 
 
 def projected_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v) -> float:
-    """Exact W_p between the projections of mu and nu onto direction v."""
+    """Exact W_p between the projections of mu and nu onto direction v.
+
+    Costs that overflow float64 raise :class:`ProblemTooLarge`.
+    """
     v = as_unit(v)
-    return wasserstein_1d(project(mu, v), project(nu, v), p)
+    with _no_overflow():
+        return wasserstein_1d(project(mu, v), project(nu, v), p)
 
 
 def _check_rows(dirs: np.ndarray, d: int) -> None:
@@ -110,11 +114,13 @@ def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, 
     """Value and ambient subgradient of v -> W_p(mu_v, nu_v)^p at one direction v.
 
     The one-row case of the ascent's batched gradient; a v that is not a
-    vector of length ``mu.dim`` raises :class:`DimensionMismatch`.
+    vector of length ``mu.dim`` raises :class:`DimensionMismatch`, costs that
+    overflow float64 :class:`ProblemTooLarge`.
     """
     v = np.asarray(v, dtype=float)[None]
     _check_rows(v, mu.dim)
-    value, grad = _gradients(mu, nu, p, v)
+    with _no_overflow():
+        value, grad = _gradients(mu, nu, p, v)
     return float(value[0]), grad[0]
 
 
@@ -138,9 +144,9 @@ def _ascent(mu, nu, p, starts, max_iters):
     none does, or after ``max_iters`` iterations. An iteration evaluates
     candidates 0-1 of every live start in one batch, 2-25 in a second only
     for the starts where neither improved, and the gradients of the starts
-    that moved in a third. Starts go through in ``_chunks`` of width
-    ``_LADDER`` * d, so a block's (starts, 26, d) ladder stays within the cap
-    at any start count. ``evals`` counts a start and each candidate
+    that moved in a third. All starts run in one block, whose (starts, 26, d)
+    ladder grows by 26 * d * 8 bytes per start; the batches of directions
+    chunk themselves. ``evals`` counts a start and each candidate
     evaluated for it. Start rows must be finite, nonzero and of length
     ``mu.dim`` (:class:`DimensionMismatch`).
     """
@@ -151,50 +157,50 @@ def _ascent(mu, nu, p, starts, max_iters):
     if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise DimensionMismatch("direction must be a finite nonzero vector")
     v = v / norms[:, None]
-    L = moment_p(mu, p) + moment_p(nu, p)
+    with np.errstate(over="ignore"):  # L only sizes the steps: if it overflows they are 0
+        L = moment_p(mu, p) + moment_p(nu, p)
     etas = (0.5 / max(L, 1e-300)) * 0.5 ** np.arange(_LADDER - 1.0)
-    val = np.empty(v.shape[0])
     evals = np.ones(v.shape[0], dtype=np.int64)
-    for block in _chunks(v.shape[0], _LADDER * d):
-        live = np.arange(v.shape[0])[block]
-        val[live], grad = _gradients(mu, nu, p, v[live])
-        for it in range(max_iters):
-            gnorm = np.sqrt(_row_dots(grad, grad))
-            moving = gnorm > 0.0
-            live, grad, gnorm, u = live[moving], grad[moving], gnorm[moving], v[live[moving]]
-            if not live.size:
-                break
-            tangent = grad - _row_dots(grad, u)[:, None] * u
-            steps = u[:, None] + etas[:, None] * tangent[:, None]
-            ladder = np.empty((live.size, _LADDER, d))
-            ladder[:, 0] = grad / gnorm[:, None]
-            ladder[:, 1:] = steps / np.linalg.norm(steps, axis=2, keepdims=True)
-            # a start whose tangent is 0 has the normalized gradient alone
-            size = np.where(_row_dots(tangent, tangent) > 0.0, _LADDER, 1)
-            bar = val[live] + 1e-14 * (1.0 + np.abs(val[live]))
-            cand = np.full((live.size, _LADDER), -np.inf)
-            # value-only sorts: through _pairings the 24-row tails need index sorts, twice the time
-            head = np.arange(2) < size[:, None]
-            cand[:, :2][head] = _projected_powers(mu, nu, p, ladder[:, :2][head])
-            tail = (size > 2) & ~np.any(cand[:, :2] > bar[:, None], axis=1)
-            if np.any(tail):
-                tails = _projected_powers(mu, nu, p, ladder[tail, 2:].reshape(-1, d))
-                cand[tail, 2:] = tails.reshape(-1, _LADDER - 2)
-            evals[live] += np.minimum(size, 2) + (_LADDER - 2) * tail
-            better = cand > bar[:, None]
-            rows = np.flatnonzero(np.any(better, axis=1))
-            k = np.argmax(better[rows], axis=1)
-            live = live[rows]
-            v[live], val[live] = ladder[rows, k], cand[rows, k]
-            if not live.size or it + 1 == max_iters:
-                break
-            _, grad = _gradients(mu, nu, p, v[live])
+    live = np.arange(v.shape[0])
+    val, grad = _gradients(mu, nu, p, v)
+    for it in range(max_iters):
+        gnorm = np.sqrt(_row_dots(grad, grad))
+        moving = gnorm > 0.0
+        live, grad, gnorm, u = live[moving], grad[moving], gnorm[moving], v[live[moving]]
+        if not live.size:
+            break
+        tangent = grad - _row_dots(grad, u)[:, None] * u
+        steps = u[:, None] + etas[:, None] * tangent[:, None]
+        ladder = np.empty((live.size, _LADDER, d))
+        ladder[:, 0] = grad / gnorm[:, None]
+        ladder[:, 1:] = steps / np.linalg.norm(steps, axis=2, keepdims=True)
+        # a start whose tangent is 0 has the normalized gradient alone
+        size = np.where(_row_dots(tangent, tangent) > 0.0, _LADDER, 1)
+        bar = val[live] + 1e-14 * (1.0 + np.abs(val[live]))
+        cand = np.full((live.size, _LADDER), -np.inf)
+        # value-only sorts: through _pairings the 24-row tails need index sorts, twice the time
+        head = np.arange(2) < size[:, None]
+        cand[:, :2][head] = _projected_powers(mu, nu, p, ladder[:, :2][head])
+        tail = (size > 2) & ~np.any(cand[:, :2] > bar[:, None], axis=1)
+        if np.any(tail):
+            tails = _projected_powers(mu, nu, p, ladder[tail, 2:].reshape(-1, d))
+            cand[tail, 2:] = tails.reshape(-1, _LADDER - 2)
+        evals[live] += np.minimum(size, 2) + (_LADDER - 2) * tail
+        better = cand > bar[:, None]
+        rows = np.flatnonzero(np.any(better, axis=1))
+        k = np.argmax(better[rows], axis=1)
+        live = live[rows]
+        v[live], val[live] = ladder[rows, k], cand[rows, k]
+        if not live.size or it + 1 == max_iters:
+            break
+        _, grad = _gradients(mu, nu, p, v[live])
     return v, val, evals
 
 
 def _one_direction(mu, nu, p) -> DirectionResult:
     """The d = 1 answer: S^0 is {1, -1} and the objective is even, so W_p is exact."""
-    w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
+    with _no_overflow():
+        w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
     return DirectionResult(v_star=np.array([1.0]), lower=w, upper=w, evaluations=1)
 
 
@@ -221,10 +227,11 @@ def direction_ascent(
     The objective is nondecreasing over accepted steps; the returned value
     is the p-th root of the W_p^p the ascent computed at the direction. A v0
     that is not a finite nonzero vector of length ``mu.dim`` raises
-    :class:`DimensionMismatch`.
+    :class:`DimensionMismatch`, costs that overflow float64 :class:`ProblemTooLarge`.
     """
     _check_pair(mu, nu, p)
-    v, val, _ = _ascent(mu, nu, p, np.asarray(v0, dtype=float)[None], max_iters)
+    with _no_overflow():
+        v, val, _ = _ascent(mu, nu, p, np.asarray(v0, dtype=float)[None], max_iters)
     return v[0], val[0] ** (1.0 / p)
 
 
@@ -244,6 +251,7 @@ def max_sliced(
     one projected distance per start and the ladder candidates each of its
     iterations evaluated: the first 2 of its (up to 26) directions, plus the
     other 24 when neither of those improves. At d >= 2 ``upper`` is ``math.inf``.
+    Costs that overflow float64 raise :class:`ProblemTooLarge`.
     """
     _check_pair(mu, nu, p)
     _check_starts(starts)
@@ -253,7 +261,8 @@ def max_sliced(
 
     raw = rng_stream(seed, 0xA5).standard_normal((starts, d))
     inits = np.vstack([np.eye(d), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
-    v, val, evals = _ascent(mu, nu, p, inits, max_iters=100)
+    with _no_overflow():
+        v, val, evals = _ascent(mu, nu, p, inits, max_iters=100)
     k = int(np.argmax(val))
     lower = float(val[k]) ** (1.0 / p)
     return DirectionResult(v_star=v[k], lower=lower, upper=math.inf, evaluations=int(evals.sum()))

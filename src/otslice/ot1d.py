@@ -30,11 +30,12 @@ cumulative weight exactly.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, DimensionMismatch
+from .errors import ArgumentOutOfRange, DimensionMismatch, ProblemTooLarge
 from .measures import DiscreteMeasure, _as_floats, _check_order, _checked
 
 
@@ -145,6 +146,16 @@ def wasserstein_1d(mu: Measure1D, nu: Measure1D, p: float) -> float:
 # ---------------------------------------------------------------------------
 # Batched sweeps (direction-sweep estimators and the exact solver's start basis)
 # ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _no_overflow():
+    """Turn a float64 overflow, or the invalid value it leads to, into :class:`ProblemTooLarge`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ProblemTooLarge(f"projected costs overflow float64 ({exc})") from None
 
 
 def _equal_uniform(wx: np.ndarray, wy: np.ndarray) -> bool:

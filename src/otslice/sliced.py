@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .measures import DiscreteMeasure, _check_pair
-from .ot1d import _equal_uniform, to_measure1d, wasserstein_1d, wasserstein_pp_batch
+from .ot1d import _equal_uniform, _no_overflow, to_measure1d, wasserstein_1d, wasserstein_pp_batch
 from .sphere import _check_grid, quadrature_grid, sample_uniform, surface_area
 
 
@@ -149,6 +149,7 @@ def sliced_wasserstein(
     """(surface integral of W_p(mu_v, nu_v)^p dv)^(1/p), optionally / A_d^(1/p).
 
     A Monte Carlo scheme needs at least 2 directions (:class:`InvalidSpec`).
+    Costs that overflow float64 raise :class:`ProblemTooLarge`.
     """
     _check_pair(mu, nu, p)
     d = mu.dim
@@ -156,23 +157,24 @@ def sliced_wasserstein(
         scheme = default_scheme(d)
     _check_scheme(scheme, d)
 
-    if d == 1:
-        # S^0 = {+1, -1}: both directions give the same distance, integrate exactly
-        w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
-        value = w if normalized else (2.0 * w**p) ** (1.0 / p)
-        return SlicedEstimate(value=value, scheme=scheme, stderr=0.0, normalized=normalized)
+    with _no_overflow():
+        if d == 1:
+            # S^0 = {+1, -1}: both directions give the same distance, integrate exactly
+            w = wasserstein_1d(to_measure1d(mu), to_measure1d(nu), p)
+            value = w if normalized else (2.0 * w**p) ** (1.0 / p)
+            return SlicedEstimate(value=value, scheme=scheme, stderr=0.0, normalized=normalized)
 
-    if scheme.kind == "quadrature":
-        dirs = quadrature_grid(d, scheme.resolution).directions
-    else:
-        dirs = sample_uniform(d, scheme.count, scheme.seed)
-    # every direction carries weight A_d / len(dirs), so the integral is a mean
-    powers = _projected_powers(mu, nu, p, dirs)
-    factor = 1.0 if normalized else surface_area(d)
-    integral = factor * float(np.mean(powers))
-    value = max(0.0, integral) ** (1.0 / p)
-    stderr = 0.0
-    if scheme.kind == "monte_carlo" and integral > 0.0:
-        sem = float(np.std(powers, ddof=1) / math.sqrt(scheme.count))
-        stderr = factor * sem * value ** (1.0 - p) / p
-    return SlicedEstimate(value=value, scheme=scheme, stderr=stderr, normalized=normalized)
+        if scheme.kind == "quadrature":
+            dirs = quadrature_grid(d, scheme.resolution).directions
+        else:
+            dirs = sample_uniform(d, scheme.count, scheme.seed)
+        # every direction carries weight A_d / len(dirs), so the integral is a mean
+        powers = _projected_powers(mu, nu, p, dirs)
+        factor = 1.0 if normalized else surface_area(d)
+        integral = factor * float(np.mean(powers))
+        value = integral ** (1.0 / p)
+        stderr = 0.0
+        if scheme.kind == "monte_carlo" and integral > 0.0:
+            sem = float(np.std(powers, ddof=1) / math.sqrt(scheme.count))
+            stderr = factor * sem * value ** (1.0 - p) / p
+        return SlicedEstimate(value=value, scheme=scheme, stderr=stderr, normalized=normalized)

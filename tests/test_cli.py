@@ -177,6 +177,17 @@ class TestDist:
         err = capsys.readouterr().err
         assert "ProblemTooLarge" in err and "overflow float64" in err
 
+    @pytest.mark.parametrize("metric", ["sw", "maxsw"])
+    def test_overflowing_projected_costs_exit_4(self, tmp_path, capsys, metric):
+        # sw used to report value_normalized 0.0 and maxsw a NaN lower bound, exit 0
+        gen = np.random.default_rng(0)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_measure(a, make_discrete(gen.standard_normal((4, 2)) * 1e160, gen.dirichlet(np.ones(4))))
+        save_measure(b, make_discrete(gen.standard_normal((5, 2)) * 1e160, gen.dirichlet(np.ones(5))))
+        assert main(["dist", str(a), str(b), "--metric", metric, "--p", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "ProblemTooLarge" in err and "overflow float64" in err
+
     def test_json_field_of_wrong_type_exit_2(self, tmp_path, capsys):
         # used to end in a TypeError traceback and exit 1, the suite-failure code
         f = tmp_path / "m.json"

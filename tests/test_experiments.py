@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -58,6 +59,10 @@ class TestProjectedSquareCdf:
 
 
 class TestUniformizingMap:
+    def test_dimension_guard(self):
+        with pytest.raises(DimensionMismatch, match="plane"):
+            ex.uniformizing_map([1.0, 0.0, 0.0])
+
     def test_axis_constant(self):
         g = ex.uniformizing_map([0.0, 1.0])
         assert g.lipschitz_constant == pytest.approx(1.0)
@@ -134,6 +139,15 @@ class TestRateExperiment:
         for n_list in ([8, 16, 32], [64]):
             with pytest.raises(ValueError, match="at least 4"):
                 ex.rate_experiment(d=3, n_list=n_list, reps=2, seed=1)
+
+    def test_needs_two_dimensions(self):
+        with pytest.raises(DimensionMismatch, match="d >= 2"):
+            ex.rate_experiment(d=1, n_list=[4, 8, 16, 32], reps=1, seed=1)
+
+    @pytest.mark.parametrize("n_list", [[8, 4, 16, 32], [4, 4, 8, 16, 32]])
+    def test_n_list_must_ascend_strictly(self, n_list):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            ex.rate_experiment(d=2, n_list=n_list, reps=1, seed=1)
 
     def test_persistence_roundtrip(self, tmp_path):
         records, _ = ex.rate_experiment(d=2, n_list=[8, 16, 24, 32], reps=2, seed=7)
@@ -238,6 +252,24 @@ class TestCdScan:
         with pytest.raises(DegenerateInstance):
             ex.cd_lower_bound_scan(d=2, instances=0, seed=0)
 
+    def test_degenerate_instances_skipped(self, monkeypatch):
+        # instances 0 and 2 pair a measure with itself: maxSW is 0 and W / maxSW undefined
+        calls, pair = itertools.count(), ex.random_pair
+
+        def some_equal(d, rng):
+            mu, nu = pair(d, rng)
+            return (mu, mu) if next(calls) % 2 == 0 else (mu, nu)
+
+        monkeypatch.setattr(ex, "random_pair", some_equal)
+        report = ex.cd_lower_bound_scan(d=2, instances=4, seed=6)
+        assert report.skipped == 2 and report.best_instance in (1, 3)
+        assert report.lower_bound >= 1.0 - 1e-9
+
+    def test_only_degenerate_instances_raise(self, monkeypatch):
+        monkeypatch.setattr(ex, "random_pair", lambda d, rng: (make_discrete(np.ones((2, d))),) * 2)
+        with pytest.raises(DegenerateInstance, match="all scanned instances"):
+            ex.cd_lower_bound_scan(d=2, instances=3, seed=6)
+
     def test_budget_stopped_brackets_still_bound(self, monkeypatch):
         # a spent budget widens each bracket, so every ratio W / upper stays at
         # most W over the converged bracket's lower bound: the bound weakens only
@@ -280,6 +312,12 @@ class TestConvergenceSuite:
         assert np.all(report.maxsw_lower <= report.maxsw_upper)
         assert np.allclose(report.maxsw_upper, shifts, atol=1e-3)
         assert report.ordering_violations == 0
+
+    @pytest.mark.parametrize("direction", [[1.0], [1.0, 0.0, 0.0]])
+    def test_translation_schedule_dimension_guard(self, direction):
+        mu = make_discrete([[0.0, 0.0], [1.0, 2.0]])
+        with pytest.raises(DimensionMismatch, match="direction dimension"):
+            ex.translation_schedule(mu, direction, [0.5, 1.0])
 
     def test_sw_above_upper_counted_within_tol(self, monkeypatch):
         # SW is a mean of exact projected values, so it can never exceed a

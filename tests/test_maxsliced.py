@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from otslice import (
     DimensionMismatch,
     InvalidOrder,
     InvalidSpec,
+    ProblemTooLarge,
     Scheme,
     direction_ascent,
     make_discrete,
@@ -205,8 +207,8 @@ class TestLockstep:
         assert spread >= 12
 
     def test_split_batches_change_nothing(self, rng, monkeypatch):
-        # a cap of 3 starts per lockstep block, which also splits the ladder
-        # batches and the gradients into chunks of a few rows
+        # a cap of 234 elements, which splits the ascent's ladder batches and its
+        # gradients into chunks of a few rows each
         for p in (1.0, 2.0):
             for weighted in (False, True):
                 mu, nu = random_pair(rng, 3, max_atoms=15, weighted=weighted)
@@ -249,8 +251,8 @@ class TestLockstep:
             assert max(sizes) <= sliced.CHUNK_ELEMENTS
 
     def test_start_blocks_change_nothing(self, rng, monkeypatch):
-        # 303 starts at d = 3 run in blocks of 210 and 93, or in one under a wider cap;
-        # a block's first gradient batch holds all of its starts
+        # 303 starts at d = 3 under the default cap and under one wide enough that
+        # no batch of directions splits; the first gradient batch holds every start
         mu, nu = random_pair(rng, 3, max_atoms=12)
         seen = []
 
@@ -261,7 +263,7 @@ class TestLockstep:
         gradients = maxsliced._gradients
         monkeypatch.setattr(maxsliced, "_gradients", record)
         split = max_sliced(mu, nu, 1.5, starts=300, seed=9)
-        assert sliced.CHUNK_ELEMENTS // (26 * 3) == 210 and max(seen) == 210 and 93 in seen
+        assert seen[0] == 303
         seen.clear()
         with monkeypatch.context() as m:
             m.setattr(sliced, "CHUNK_ELEMENTS", 303 * 26 * 3)
@@ -280,6 +282,11 @@ class TestLockstep:
                 projected_cost_gradient(mu, nu, 1.0, v)
             with pytest.raises(DimensionMismatch):
                 projected_distance(mu, nu, 1.0, v)
+
+    def test_zero_start_is_a_dimension_error(self, rng):
+        mu, nu = random_pair(rng, 2, max_atoms=6)
+        with pytest.raises(DimensionMismatch, match="nonzero"):
+            direction_ascent(mu, nu, 1.0, [0.0, 0.0])
 
 
 class TestGradient:
@@ -721,3 +728,42 @@ _CE_NU_WEIGHTS = [
     0.19263713684186484, 0.06439817905595324, 0.039205478018974754, 0.2736142611758478,
     0.10943583048646238, 0.009340297334624784, 0.05951275550975101, 0.2518560615765212,
 ]
+
+
+class TestOverflow:
+    # sliced W used to report 0.0 (max(0, NaN)) and max-sliced W a NaN lower
+    # bound, each after overflow and invalid-value RuntimeWarnings
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_overflowing_costs_raise(self, weighted):
+        gen = np.random.default_rng(0)
+        m = 5 if weighted else 4
+        mu = make_discrete(gen.standard_normal((4, 2)) * 1e160,
+                           gen.dirichlet(np.ones(4)) if weighted else None)
+        nu = make_discrete(gen.standard_normal((m, 2)) * 1e160,
+                           gen.dirichlet(np.ones(m)) if weighted else None)
+        entries = [
+            lambda: sliced_wasserstein(mu, nu, 2.0, normalized=True),
+            lambda: max_sliced(mu, nu, 2.0),
+            lambda: direction_ascent(mu, nu, 2.0, [1.0, 0.3]),
+            lambda: projected_cost_gradient(mu, nu, 2.0, [1.0, 0.3]),
+            lambda: projected_distance(mu, nu, 2.0, [1.0, 0.3]),
+        ]
+        for entry in entries:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ProblemTooLarge, match="overflow float64"):
+                    entry()
+
+    def test_overflowing_moment_only_sizes_the_steps(self):
+        # at p = 100 the moments of a cloud near 1e4 overflow, but no projected
+        # cost does: the ascent still answers, its tangent steps of size 0
+        gen = np.random.default_rng(3)
+        mu = make_discrete(gen.standard_normal((6, 2)) + 1e4, gen.dirichlet(np.ones(6)))
+        nu = make_discrete(gen.standard_normal((7, 2)) + 1e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = max_sliced(mu, nu, 100.0)
+            w = wasserstein_exact(mu, nu, 100.0).primal_value
+            axis = max(projected_distance(mu, nu, 100.0, e) for e in np.eye(2))
+        assert axis <= res.lower <= w + 1e-9
+

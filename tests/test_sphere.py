@@ -7,6 +7,7 @@ from otslice import (
     DimensionMismatch,
     InvalidDimension,
     UnsupportedDimension,
+    as_unit,
     make_discrete,
     moment_p,
     project,
@@ -49,6 +50,18 @@ class TestSampleUniform:
         a = sample_uniform(3, 50, seed=9)
         b = sample_uniform(3, 50, seed=9)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_invalid_dimension(self, d):
+        # count 0: with d = 0 and a positive count, every draw has norm 0 and is redrawn forever
+        with pytest.raises(InvalidDimension):
+            sample_uniform(d, 0, seed=1)
+
+
+class TestAsUnit:
+    def test_zero_vector_rejected(self):
+        with pytest.raises(DimensionMismatch, match="nonzero"):
+            as_unit([0.0, 0.0])
 
 
 class TestQuadratureGrid:
