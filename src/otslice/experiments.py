@@ -25,7 +25,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,9 +103,8 @@ def write_records_jsonl(records: Sequence[ExperimentRecord], path) -> None:
 
 
 def write_records_csv(records: Sequence[ExperimentRecord], path) -> None:
-    fields = ["d", "p", "n", "replication", "estimator", "value", "stderr", "seed", "wall_time"]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(ExperimentRecord)])
         writer.writeheader()
         for rec in records:
             writer.writerow(rec.to_dict())
@@ -303,10 +302,8 @@ def inequality_audit(
     cells = _parallel_map(run, tasks, threads)
     margins = [m for c in cells
                for m in (c.maxsw_upper + slack - c.sw_normalized, c.w + slack - c.maxsw_lower)]
-    by_kind = {"sw_le_maxsw": 0, "maxsw_le_w": 0, "w_le_sqrtd_maxsw": 0}
-    for c in cells:
-        for kind in c.violations:
-            by_kind[kind] += 1
+    by_kind = {kind: sum(kind in c.violations for c in cells)
+               for kind in ("sw_le_maxsw", "maxsw_le_w", "w_le_sqrtd_maxsw")}
     return AuditReport(
         cells=cells,
         violation_count=sum(by_kind.values()),
@@ -360,27 +357,14 @@ def cd_lower_bound_scan(
         res = max_sliced_certified(mu, nu, p, 1e-3, plan=plan)
         return plan.primal_value, res.upper
 
-    results = _parallel_map(run, range(instances), threads)
-    best, best_k, skipped = -math.inf, -1, 0
-    best_w = best_upper = float("nan")
-    for k, (w, upper) in enumerate(results):
-        if upper < 1e-12:
-            skipped += 1
-            continue
-        ratio = w / upper
-        if ratio > best:
-            best, best_k, best_w, best_upper = ratio, k, w, upper
-    if best_k < 0:
+    w, upper = np.array(_parallel_map(run, range(instances), threads)).T
+    live = np.flatnonzero(upper >= 1e-12)  # an upper below 1e-12 marks a skipped instance
+    if live.size == 0:
         raise DegenerateInstance("all scanned instances were degenerate")
-    return CdScanReport(
-        d=d,
-        p=p,
-        lower_bound=best,
-        best_instance=best_k,
-        best_w=best_w,
-        best_maxsw_upper=best_upper,
-        skipped=skipped,
-    )
+    k = int(live[np.argmax(w[live] / upper[live])])  # the first maximum: the lowest index
+    return CdScanReport(d=d, p=p, lower_bound=float(w[k] / upper[k]), best_instance=k,
+                        best_w=float(w[k]), best_maxsw_upper=float(upper[k]),
+                        skipped=instances - live.size)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +377,7 @@ def projected_square_cdf(v, x):
 
     The law is the trapezoidal distribution with breakpoints set by |v1| and
     |v2| (piecewise quadratic CDF); axis-aligned v degenerates to a uniform
-    law. Accepts scalar or array x.
+    law. Accepts scalar or array x; NaN x gives NaN.
     """
     v = as_unit(v)
     if v.shape[0] != 2:
@@ -401,18 +385,16 @@ def projected_square_cdf(v, x):
     a, b = sorted((abs(float(v[0])), abs(float(v[1]))), reverse=True)
     shift = min(0.0, float(v[0])) + min(0.0, float(v[1]))
     s = np.asarray(x, dtype=float) - shift
-    if b == 0.0:
-        out = np.clip(s / a, 0.0, 1.0)
-    else:
-        out = np.empty_like(s)
-        rising = (s >= 0.0) & (s < b)
-        middle = (s >= b) & (s < a)
-        falling = (s >= a) & (s < a + b)
-        out[s < 0.0] = 0.0
-        out[rising] = s[rising] ** 2 / (2.0 * a * b)
-        out[middle] = (s[middle] - 0.5 * b) / a
-        out[falling] = 1.0 - (a + b - s[falling]) ** 2 / (2.0 * a * b)
-        out[s >= a + b] = 1.0
+    # at b = 0 (axis-aligned v) the rising and falling pieces are empty
+    out = np.full_like(s, np.nan)  # NaN matches no piece
+    rising = (s >= 0.0) & (s < b)
+    middle = (s >= b) & (s < a)
+    falling = (s >= a) & (s < a + b)
+    out[s < 0.0] = 0.0
+    out[rising] = s[rising] ** 2 / (2.0 * a * b)
+    out[middle] = (s[middle] - 0.5 * b) / a
+    out[falling] = 1.0 - (a + b - s[falling]) ** 2 / (2.0 * a * b)
+    out[s >= a + b] = 1.0
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
@@ -497,12 +479,7 @@ def convergence_suite(
         res = max_sliced_certified(mu_n, target, p, 1e-3, plan=plan)
         return plan.primal_value, sw, res.lower, res.upper
 
-    rows = _parallel_map(run, list(schedule), threads)
-    w = np.array([r[0] for r in rows])
-    sw = np.array([r[1] for r in rows])
-    lo = np.array([r[2] for r in rows])
-    up = np.array([r[3] for r in rows])
-
+    w, sw, lo, up = np.array(_parallel_map(run, list(schedule), threads)).T
     violations = int(np.sum(sw > up + 1e-9) + np.sum(lo > w + 1e-9))
 
     def corr(x, y):

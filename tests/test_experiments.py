@@ -57,6 +57,18 @@ class TestProjectedSquareCdf:
         with pytest.raises(DimensionMismatch):
             ex.projected_square_cdf([1.0, 0.0, 0.0], 0.5)
 
+    @pytest.mark.parametrize("v", [[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.8, 0.6]])
+    def test_nan_stays_nan(self, v):
+        # NaN matches no piece of the CDF, so it must not read uninitialised memory;
+        # freed blocks of 7.0 make such a read show (numpy reuses small blocks)
+        assert math.isnan(ex.projected_square_cdf(v, math.nan))
+        x = np.array([math.nan, 0.5, math.nan])
+        junk = [np.full(3, 7.0) for _ in range(8)]
+        del junk
+        out = ex.projected_square_cdf(v, x)
+        assert np.isnan(out[[0, 2]]).all() and 0.0 <= out[1] <= 1.0
+        assert np.isnan(ex.uniformizing_map(v)(np.full(4, math.nan))).all()
+
 
 class TestUniformizingMap:
     def test_dimension_guard(self):
@@ -149,6 +161,18 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match="strictly ascending"):
             ex.rate_experiment(d=2, n_list=n_list, reps=1, seed=1)
 
+    def test_fit_needs_four_sizes(self):
+        records = [ex.ExperimentRecord(2, 1.0, n, 0, "SW", 1.0 / n, 0.0, 0) for n in (8, 16, 32)]
+        with pytest.raises(ValueError, match="at least 4 distinct n"):
+            ex.fit_rates(records)
+
+    def test_fit_omits_a_missing_estimator(self):
+        records = [ex.ExperimentRecord(2, 1.0, n, 0, est, n ** -0.5, 0.0, 0)
+                   for n in (8, 16, 32, 64) for est in ("W_exact", "maxSW")]
+        fits = ex.fit_rates(records)
+        assert [f.estimator for f in fits] == ["W_exact", "maxSW"]
+        assert all(f.slope == pytest.approx(-0.5) and f.n_range == (8, 64) for f in fits)
+
     def test_persistence_roundtrip(self, tmp_path):
         records, _ = ex.rate_experiment(d=2, n_list=[8, 16, 24, 32], reps=2, seed=7)
         path = tmp_path / "records.jsonl"
@@ -159,6 +183,7 @@ class TestRateExperiment:
         csv_path = tmp_path / "records.csv"
         ex.write_records_csv(records, csv_path)
         assert csv_path.read_text().count("\n") == len(records) + 1
+        assert csv_path.read_text().splitlines()[0] == ",".join(records[0].to_dict())
 
 
 class TestInequalityAudit:
@@ -224,6 +249,28 @@ class TestInequalityAudit:
             ex.inequality_audit(d_list=[2, 3], p_list=[1.0, 2.0], instances_per_cell=2,
                                 seed=0, certified_tol=tol, threads=threads)
 
+    def test_sandwich_violations_counted_by_kind(self, monkeypatch):
+        # brackets from a faulty search: the first instance's upper sits below
+        # SW, every other instance's lower sits above W
+        calls = itertools.count()
+
+        def faulty(mu, nu, p, tol, plan=None):
+            if next(calls) == 0:
+                return DirectionResult(v_star=np.eye(mu.dim)[0], lower=0.0, upper=-1.0,
+                                       evaluations=1)
+            return DirectionResult(v_star=np.eye(mu.dim)[0], lower=plan.primal_value + 1.0,
+                                   upper=math.inf, evaluations=1)
+
+        monkeypatch.setattr(ex, "max_sliced_certified", faulty)
+        report = ex.inequality_audit(d_list=[2], p_list=[1.0], instances_per_cell=3, seed=1)
+        assert [c.violations for c in report.cells] == [["sw_le_maxsw"], ["maxsw_le_w"],
+                                                        ["maxsw_le_w"]]
+        assert report.violations_by_kind == {"sw_le_maxsw": 1, "maxsw_le_w": 2,
+                                             "w_le_sqrtd_maxsw": 0}
+        assert report.violation_count == 3
+        assert list(report.to_dict()["violations_by_kind"]) == ["sw_le_maxsw", "maxsw_le_w",
+                                                                "w_le_sqrtd_maxsw"]
+
     def test_d4_audit_has_no_sandwich_violations(self):
         # SW at d = 4 takes the Monte Carlo default; maxSW is certified there too
         report = ex.inequality_audit(d_list=[4], p_list=[1.0, 2.0], instances_per_cell=3, seed=0)
@@ -264,6 +311,13 @@ class TestCdScan:
         report = ex.cd_lower_bound_scan(d=2, instances=4, seed=6)
         assert report.skipped == 2 and report.best_instance in (1, 3)
         assert report.lower_bound >= 1.0 - 1e-9
+
+    def test_ties_pick_the_first_instance(self, monkeypatch):
+        # one pair for every instance, so every ratio ties: the lowest index wins
+        pair = ex.random_pair(2, np.random.default_rng(3))
+        monkeypatch.setattr(ex, "random_pair", lambda d, rng: pair)
+        report = ex.cd_lower_bound_scan(d=2, instances=3, seed=0)
+        assert report.best_instance == 0 and report.skipped == 0
 
     def test_only_degenerate_instances_raise(self, monkeypatch):
         monkeypatch.setattr(ex, "random_pair", lambda d, rng: (make_discrete(np.ones((2, d))),) * 2)

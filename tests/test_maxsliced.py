@@ -29,7 +29,7 @@ from otslice import (
 from otslice import experiments, maxsliced, sliced
 from otslice.measures import rng_stream
 from otslice.maxsliced import _ascent, _box_geometry, _halve, _patch_bounds
-from otslice.ot_exact import _cost_matrix
+from otslice.ot_exact import TransportPlan, _cost_matrix
 from otslice.sliced import _projected_powers
 from conftest import random_measure, random_pair
 
@@ -534,6 +534,20 @@ class TestCertified:
         other = make_discrete(mu.points, rng.dirichlet(np.ones(mu.n)))
         with pytest.raises(InvalidSpec):
             max_sliced_certified(mu, other, 2.0, tol=1e-4, plan=wasserstein_exact(other, mu, 2.0))
+
+    def test_plan_with_marginals_off_by_more_than_rounding_rejected(self):
+        # diag(1/2, 1/2) misses nu's weights by 4e-10, within the weight-sum tolerance; used
+        # as a coupling it bounded maxSW_1 = W_1 = delta sqrt(5) by [8.0e-10, 8.0e-10]
+        delta = 4e-10
+        pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+        mu = make_discrete(pts, [0.5, 0.5])
+        nu = make_discrete(pts, [0.5 + delta, 0.5 - delta])
+        plan = TransportPlan(i=np.array([0, 1]), j=np.array([0, 1]), mass=np.array([0.5, 0.5]),
+                             primal_value=0.0, order=1.0, source_size=2, target_size=2)
+        with pytest.raises(InvalidSpec, match="marginals"):
+            max_sliced_certified(mu, nu, 1.0, tol=1e-12, plan=plan)
+        own = max_sliced_certified(mu, nu, 1.0, tol=1e-12, plan=wasserstein_exact(mu, nu, 1.0))
+        assert own.lower <= delta * math.sqrt(5.0) <= own.upper
 
     def test_distinct_measures_positive(self, rng):
         for _ in range(5):

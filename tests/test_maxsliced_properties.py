@@ -119,3 +119,24 @@ class TestHeuristicChain:
         upper = max_sliced_certified(mu, nu, p, tol=1e-3, eval_budget=20_000).upper
         assert lower <= upper + 1e-9
         assert lower <= wasserstein_exact(mu, nu, p).primal_value + 1e-9
+
+
+class TestRigidMotion:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=lattice_pairs(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_w_and_certified_brackets_survive_a_rigid_motion(self, pair, p, seed):
+        # W is invariant under x -> Qx + c and the certified brackets of both
+        # placements contain the one maxSW; a certified lower never passes W
+        mu, nu = pair
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((mu.dim, mu.dim)))
+        shift = rng.uniform(-3.0, 3.0, mu.dim)
+        moved = [make_discrete(m.points @ q.T + shift, m.weights) for m in (mu, nu)]
+        w = wasserstein_exact(mu, nu, p).primal_value
+        w_moved = wasserstein_exact(*moved, p).primal_value
+        assert abs(w_moved - w) <= 1e-12 * w
+        a = max_sliced_certified(mu, nu, p, tol=1e-3, eval_budget=20_000)
+        b = max_sliced_certified(*moved, p, tol=1e-3, eval_budget=20_000)
+        assert max(a.lower, b.lower) <= min(a.upper, b.upper)
+        assert a.lower <= w + 1e-9 * max(1.0, w)
