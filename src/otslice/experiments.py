@@ -53,6 +53,24 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int):
         return list(pool.map(fn, items))
 
 
+def _sandwich(triples: Sequence, tol: float, with_sw: bool, threads: int):
+    """Arrays W, normalized SW, certified maxSW lower and upper, one entry per (mu, nu, p).
+
+    W's plan feeds the certified search (bracket width ``tol``); SW runs on
+    the default scheme, or is NaN without ``with_sw``.
+    """
+
+    def run(triple):
+        mu, nu, p = triple
+        plan = wasserstein_exact(mu, nu, p)
+        sw = (sliced_wasserstein(mu, nu, p, default_scheme(mu.dim), normalized=True).value
+              if with_sw else math.nan)
+        cert = max_sliced_certified(mu, nu, p, tol, plan=plan)
+        return plan.primal_value, sw, cert.lower, cert.upper
+
+    return np.array(_parallel_map(run, triples, threads)).T
+
+
 # ---------------------------------------------------------------------------
 # Records and fits
 # ---------------------------------------------------------------------------
@@ -276,34 +294,22 @@ def inequality_audit(
         raise DegenerateInstance("an audit needs at least one instance per cell, d and p")
     _check_tol(certified_tol)
     slack = 1e-6
-
-    def run(task):
-        di, pi, k = task
-        d, p = d_list[di], p_list[pi]
-        rng = rng_stream(seed, 0xAD, di, pi, k)
-        mu, nu = random_pair(d, rng)
-        sw = sliced_wasserstein(mu, nu, p, default_scheme(d), normalized=True).value
-        plan = wasserstein_exact(mu, nu, p)
-        w = plan.primal_value
-        cert = max_sliced_certified(mu, nu, p, certified_tol, plan=plan)
-
-        violations = []
-        if sw > cert.upper + slack:
-            violations.append("sw_le_maxsw")
-        if cert.lower > w + slack:
-            violations.append("maxsw_le_w")
-        if p == 2 and w > math.sqrt(d) * cert.upper + slack:
-            violations.append("w_le_sqrtd_maxsw")
-        return AuditCell(d=d, p=p, instance=k, w=w, sw_normalized=sw, maxsw_lower=cert.lower,
-                         maxsw_upper=cert.upper, violations=violations)
-
     tasks = list(itertools.product(range(len(d_list)), range(len(p_list)),
                                    range(instances_per_cell)))
-    cells = _parallel_map(run, tasks, threads)
-    margins = [m for c in cells
-               for m in (c.maxsw_upper + slack - c.sw_normalized, c.w + slack - c.maxsw_lower)]
-    by_kind = {kind: sum(kind in c.violations for c in cells)
-               for kind in ("sw_le_maxsw", "maxsw_le_w", "w_le_sqrtd_maxsw")}
+    triples = [(*random_pair(d_list[di], rng_stream(seed, 0xAD, di, pi, k)), p_list[pi])
+               for di, pi, k in tasks]
+    w, sw, lower, upper = _sandwich(triples, certified_tol, True, threads)
+    d, p = np.array([(d_list[di], p_list[pi]) for di, pi, _ in tasks], dtype=float).T
+    hits = {"sw_le_maxsw": sw > upper + slack, "maxsw_le_w": lower > w + slack,
+            "w_le_sqrtd_maxsw": (p == 2) & (w > np.sqrt(d) * upper + slack)}
+    cells = [AuditCell(d=d_list[di], p=p_list[pi], instance=k, w=float(w[r]),
+                       sw_normalized=float(sw[r]), maxsw_lower=float(lower[r]),
+                       maxsw_upper=float(upper[r]),
+                       violations=[kind for kind, hit in hits.items() if hit[r]])
+             for r, (di, pi, k) in enumerate(tasks)]
+    # interleaved per cell: the order in which margin_mean has always been summed
+    margins = np.stack([upper + slack - sw, w + slack - lower], axis=1)
+    by_kind = {kind: int(np.count_nonzero(hit)) for kind, hit in hits.items()}
     return AuditReport(
         cells=cells,
         violation_count=sum(by_kind.values()),
@@ -350,14 +356,8 @@ def cd_lower_bound_scan(
     if instances < 1:
         raise DegenerateInstance("need at least one instance")
 
-    def run(k):
-        rng = rng_stream(seed, 0xCD, k)
-        mu, nu = random_pair(d, rng)
-        plan = wasserstein_exact(mu, nu, p)
-        res = max_sliced_certified(mu, nu, p, 1e-3, plan=plan)
-        return plan.primal_value, res.upper
-
-    w, upper = np.array(_parallel_map(run, range(instances), threads)).T
+    triples = [(*random_pair(d, rng_stream(seed, 0xCD, k)), p) for k in range(instances)]
+    w, _, _, upper = _sandwich(triples, 1e-3, False, threads)
     live = np.flatnonzero(upper >= 1e-12)  # an upper below 1e-12 marks a skipped instance
     if live.size == 0:
         raise DegenerateInstance("all scanned instances were degenerate")
@@ -472,14 +472,7 @@ def convergence_suite(
     per step with slack 1e-9: SW^p is a mean of exact W_p^p(v_k), never above
     maxSW^p.
     """
-
-    def run(mu_n):
-        plan = wasserstein_exact(mu_n, target, p)
-        sw = sliced_wasserstein(mu_n, target, p, normalized=True).value
-        res = max_sliced_certified(mu_n, target, p, 1e-3, plan=plan)
-        return plan.primal_value, sw, res.lower, res.upper
-
-    w, sw, lo, up = np.array(_parallel_map(run, list(schedule), threads)).T
+    w, sw, lo, up = _sandwich([(mu_n, target, p) for mu_n in schedule], 1e-3, True, threads)
     violations = int(np.sum(sw > up + 1e-9) + np.sum(lo > w + 1e-9))
 
     def corr(x, y):

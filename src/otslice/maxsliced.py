@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
 from .ot1d import _equal_uniform, _no_overflow, _pairings, to_measure1d, wasserstein_1d
-from .ot_exact import TransportPlan, _cost_matrix, wasserstein_exact
+from .ot_exact import TransportPlan, _cost_matrix, _meets_marginals, wasserstein_exact
 from .sliced import _chunks, _projected_powers, _projections
 from .sphere import as_unit, project
 
@@ -74,17 +74,14 @@ def _check_rows(dirs: np.ndarray, d: int) -> None:
 def _push(w, i, j, mu, nu):
     """Per row r, sum_k w[r, k] (x_{i[r, k]} - y_{j[r, k]}), through the atoms.
 
-    One bincount adds each segment's weight onto its atom, into a (rows, n)
-    and a (rows, m) array, and each row is multiplied alone, so its result
-    does not depend on the rows beside it. ``i`` and ``j`` get row offsets
-    added in place and taken out again, as ``ot1d._take_rows`` does.
+    One bincount over row-offset indices adds each segment's weight onto its
+    atom, into a (rows, n) and a (rows, m) array, and each row is multiplied
+    alone, so its result does not depend on the rows beside it.
     """
     out = []
     for idx, m in ((i, mu), (j, nu)):
         offsets = np.arange(0, idx.shape[0] * m.n, m.n)[:, None]
-        idx += offsets
-        a = np.bincount(idx.ravel(), weights=w.ravel(), minlength=offsets.size * m.n)
-        idx -= offsets
+        a = np.bincount((idx + offsets).ravel(), weights=w.ravel(), minlength=offsets.size * m.n)
         out.append(np.matmul(a.reshape(-1, 1, m.n), m.points)[:, 0])
     return out[0] - out[1]
 
@@ -113,10 +110,13 @@ def _gradients(mu, nu, p, dirs):
 def projected_cost_gradient(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, v):
     """Value and ambient subgradient of v -> W_p(mu_v, nu_v)^p at one direction v.
 
-    The one-row case of the ascent's batched gradient; a v that is not a
-    vector of length ``mu.dim`` raises :class:`DimensionMismatch`, costs that
-    overflow float64 :class:`ProblemTooLarge`.
+    The one-row case of the ascent's batched gradient. v need not be a unit
+    vector; measures of different dimension or a v that is not a vector of
+    length ``mu.dim`` raise :class:`DimensionMismatch`, an order below 1 or
+    not finite :class:`InvalidOrder`, costs that overflow float64
+    :class:`ProblemTooLarge`.
     """
+    _check_pair(mu, nu, p)
     v = np.asarray(v, dtype=float)[None]
     _check_rows(v, mu.dim)
     with _no_overflow():
@@ -273,10 +273,7 @@ def max_sliced(
 
 
 def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
-    """Reject a plan that is not a coupling of (mu, nu) for order p, up to rounding.
-
-    Marginals may miss the weights by 4 eps (n + m); ``wasserstein_exact``'s stay within 0.17.
-    """
+    """Reject a plan that is not a coupling of (mu, nu) for order p, to ``_meets_marginals``."""
     if plan.source_size != mu.n or plan.target_size != nu.n:
         raise DimensionMismatch(
             f"plan is {plan.source_size} x {plan.target_size}, measures are {mu.n} x {nu.n}"
@@ -284,13 +281,11 @@ def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
     if plan.order != p:
         raise InvalidSpec(f"plan has order {plan.order}, expected {p}")
     a, b = plan.source_marginal(), plan.target_marginal()
-    tol = 4.0 * np.finfo(float).eps * (mu.n + nu.n)
     if (
         np.any(plan.mass < 0.0)
         or a.shape != mu.weights.shape
         or b.shape != nu.weights.shape
-        or np.max(np.abs(a - mu.weights)) > tol
-        or np.max(np.abs(b - nu.weights)) > tol
+        or not _meets_marginals(a, b, mu.weights, nu.weights)
     ):
         raise InvalidSpec("plan marginals do not match the measure weights")
 
@@ -319,11 +314,11 @@ def _patch_bounds(mu, nu, p, centers, steps, dist):
         t *= nonflip
     elif p != 2:
         return f, f + steps * np.sum(mass * znorm**p, axis=1) ** (1.0 / p)
-    # t becomes each segment's weight in place, and is dropped with the pairing once pushed
-    t *= mass
-    g = _push(t, i, j, mu, nu)
-    del t, i, j
-    slope = np.linalg.norm(g - np.einsum("rd,rd->r", g, centers)[:, None] * centers, axis=1)
+    g = _push(t * mass, i, j, mu, nu)
+    g -= np.einsum("rd,rd->r", g, centers)[:, None] * centers
+    # the norm squares: scaled by a power of two first, it cannot overflow, and is exact
+    e = np.frexp(np.max(np.abs(g), axis=1))[1]
+    slope = np.ldexp(np.linalg.norm(np.ldexp(g, -e[:, None]), axis=1), e)
     if p == 1:
         return f, f + steps * (slope + np.sum(mass * znorm * ~nonflip, axis=1))
     dc = np.sum(mass * znorm**p, axis=1) ** (1.0 / p)

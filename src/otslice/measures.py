@@ -35,8 +35,7 @@ from .errors import (
 )
 
 # Weight sums within this distance of 1 are accepted (make_discrete scales them
-# to sum exactly 1); anything further out is treated as a caller bug. Transport
-# plans must meet their marginals to the same tolerance.
+# to sum exactly 1); anything further out is treated as a caller bug.
 WEIGHT_SUM_TOL = 1e-9
 
 

@@ -230,6 +230,11 @@ class TestInequalityAudit:
         assert len(calls) == len(report.cells) == 8
         assert {c.resolution for c in calls} == {1024, 4096}
 
+    def test_threads_do_not_change_results(self):
+        a, b = (ex.inequality_audit(d_list=[2, 3], p_list=[1.0, 2.0], instances_per_cell=2, seed=5,
+                                    certified_tol=1e-3, threads=t).to_dict() for t in (1, 2))
+        assert a == b
+
     def test_needs_an_instance(self):
         # instances_per_cell=0 failed inside numpy on an empty margin list
         for d_list, p_list, k in (([2], [1.0], 0), ([], [1.0], 1), ([2], [], 1)):
@@ -298,6 +303,10 @@ class TestCdScan:
     def test_needs_instances(self):
         with pytest.raises(DegenerateInstance):
             ex.cd_lower_bound_scan(d=2, instances=0, seed=0)
+
+    def test_threads_do_not_change_results(self):
+        a, b = (ex.cd_lower_bound_scan(d=3, instances=4, seed=2, p=2.0, threads=t) for t in (1, 2))
+        assert a == b
 
     def test_degenerate_instances_skipped(self, monkeypatch):
         # instances 0 and 2 pair a measure with itself: maxSW is 0 and W / maxSW undefined
@@ -386,6 +395,16 @@ class TestConvergenceSuite:
         schedule = ex.translation_schedule(target, [1.0, 0.0], [1.0, 0.5, 0.25])
         report = ex.convergence_suite(target, schedule, p=1.0)
         assert report.ordering_violations == 3
+
+    def test_threads_do_not_change_results(self):
+        base = GeneratorSpec.uniform_cube(2)
+        target = generate(GeneratorSpec.empirical_of(base, 40), seed=3)
+        schedule = ex.empirical_schedule(base, [5, 10, 20], seed=8)
+        a, b = (ex.convergence_suite(target, schedule, p=2.0, threads=t) for t in (1, 2))
+        for field in ("w", "sw", "maxsw_lower", "maxsw_upper"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.spearman_w_sw, a.spearman_w_maxsw, a.ordering_violations) == (
+            b.spearman_w_sw, b.spearman_w_maxsw, b.ordering_violations)
 
     def test_constant_schedule_all_zero(self, rng):
         target = make_discrete(rng.standard_normal((6, 2)))

@@ -290,6 +290,16 @@ class TestLockstep:
 
 
 class TestGradient:
+    def test_checks_the_pair_and_the_order(self, rng):
+        # these used to return values for p < 1 and NaN, or fail inside numpy
+        mu, nu = random_pair(rng, 2, max_atoms=6)
+        for p in (0.5, math.nan, 0.0, math.inf):
+            with pytest.raises(InvalidOrder):
+                projected_cost_gradient(mu, nu, p, [1.0, 0.0])
+        nu3 = make_discrete(rng.standard_normal((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            projected_cost_gradient(mu, nu3, 1.0, [1.0, 0.0])
+
     def test_matches_central_differences(self, rng):
         # nondegenerate directions: ties in the projected order are avoided
         # by nudging v away from any that appear
@@ -781,3 +791,15 @@ class TestOverflow:
             axis = max(projected_distance(mu, nu, 100.0, e) for e in np.eye(2))
         assert axis <= res.lower <= w + 1e-9
 
+    @pytest.mark.parametrize("spread", [1e80, 1e150])
+    def test_certified_slope_does_not_overflow(self, spread):
+        # the p = 2 slope norm squared the tangent components: overflow warnings
+        gen = np.random.default_rng(0)
+        mu = make_discrete(gen.standard_normal((6, 2)) * spread)
+        nu = make_discrete(gen.standard_normal((6, 2)) * spread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = wasserstein_exact(mu, nu, 2.0).primal_value
+            res = max_sliced_certified(mu, nu, 2.0, 1e-3 * spread)
+        assert res.lower <= w
+        assert res.lower <= res.upper <= res.lower + 1e-3 * spread

@@ -22,7 +22,7 @@ from otslice import (
 )
 from otslice import ot_exact
 from otslice.ot1d import monotone_coupling
-from otslice.ot_exact import _cost_matrix, _solve_simplex
+from otslice.ot_exact import _cost_matrix, _meets_marginals, _solve_simplex
 from otslice.sliced import CHUNK_ELEMENTS
 from conftest import random_measure, random_pair
 
@@ -390,6 +390,16 @@ class TestPlanOnLine:
         c = monotone_coupling(m1, n1)
         plan = wasserstein_exact(mu, nu, 2.0)
         assert plan.primal_value**2 == pytest.approx(c.cost(m1, n1, 2.0), rel=1e-10)
+
+
+class TestMarginalRule:
+    def test_four_eps_per_atom(self):
+        # the simplex's audit and max_sliced_certified(plan=...) share this rule
+        a, b = np.full(3, 1 / 3), np.full(2, 0.5)
+        tol = 4 * np.finfo(float).eps * 5
+        assert _meets_marginals(a + 0.9 * tol, b - 0.9 * tol, a, b)
+        assert not _meets_marginals(a, b + 1.1 * tol, a, b)
+        assert not _meets_marginals(a * math.nan, b, a, b)
 
 
 class TestLowestIndexRule:
