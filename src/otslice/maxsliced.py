@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, InvalidSpec, SolverFailure
 from .measures import DiscreteMeasure, _check_pair, moment_p, rng_stream
-from .ot1d import _equal_uniform, _no_overflow, _pairings, to_measure1d, wasserstein_1d
+from .ot1d import (_no_overflow, _paired_chunks, _projected_powers, _scaled, to_measure1d,
+                   wasserstein_1d)
 from .ot_exact import TransportPlan, _cost_matrix, _meets_marginals, wasserstein_exact
-from .sliced import _chunks, _projected_powers, _projections
 from .sphere import as_unit, project
 
 
@@ -93,16 +93,12 @@ def _gradients(mu, nu, p, dirs):
     sum mass * p * |v.(x_i - y_j)|^(p-1) * sign(v.(x_i - y_j)) * (x_i - y_j).
     At directions with ties in the projected sort order this is one valid
     choice among several. The sums run row by row (``_push``), so the other
-    rows of the batch reach a row's result only through its projection,
-    which may round otherwise for another chunk row count
-    (``sliced._projections``). Rows go through in ``_chunks`` of width n + m,
-    the widest array of a chunk.
+    rows of the batch reach a row's result only through its projection, which
+    may round otherwise for another chunk row count (``ot1d._projections``).
     """
-    uniform = _equal_uniform(mu.weights, nu.weights)
     value, grad = np.empty(dirs.shape[0]), np.empty(dirs.shape)
-    for c in _chunks(dirs.shape[0], mu.n + nu.n):
-        pa, pb = _projections(mu, dirs[c]), _projections(nu, dirs[c])
-        value[c], t, mass, i, j = _pairings(pa, pb, mu.weights, nu.weights, p, uniform)
+    for c, pairing in _paired_chunks(mu, nu, p, dirs):
+        value[c], t, mass, i, j = pairing
         grad[c] = _push(mass * p * np.abs(t) ** (p - 1.0) * np.sign(t), i, j, mu, nu)
     return value, grad
 
@@ -132,12 +128,17 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``sqrt(_row_dots(a, a))``, with no overflow in the squares."""
+    return _scaled(lambda s: np.sqrt(_row_dots(s, s)), a)
+
+
 def _ascent(mu, nu, p, starts, max_iters):
     """Backtracking subgradient ascent from each row of ``starts``, in lockstep.
 
     Returns (directions, W_p^p, evals), one entry per start, each as if the
     start ran alone wherever its projections round alike in batches of any
-    row count (``sliced._projections``). A start's ladder is the normalized
+    row count (``ot1d._projections``). A start's ladder is the normalized
     gradient (the eta -> inf limit), then v + eta0 2^-k tangent, normalized,
     for k = 0..24; it moves to the first candidate in ladder order that
     beats val + 1e-14 (1 + |val|), and stops when its gradient is 0, when
@@ -153,7 +154,7 @@ def _ascent(mu, nu, p, starts, max_iters):
     v = np.asarray(starts, dtype=float)
     d = mu.dim
     _check_rows(v, d)
-    norms = np.sqrt(_row_dots(v, v))
+    norms = _row_norms(v)
     if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise DimensionMismatch("direction must be a finite nonzero vector")
     v = v / norms[:, None]
@@ -164,7 +165,7 @@ def _ascent(mu, nu, p, starts, max_iters):
     live = np.arange(v.shape[0])
     val, grad = _gradients(mu, nu, p, v)
     for it in range(max_iters):
-        gnorm = np.sqrt(_row_dots(grad, grad))
+        gnorm = _row_norms(grad)
         moving = gnorm > 0.0
         live, grad, gnorm, u = live[moving], grad[moving], gnorm[moving], v[live[moving]]
         if not live.size:
@@ -175,7 +176,7 @@ def _ascent(mu, nu, p, starts, max_iters):
         ladder[:, 0] = grad / gnorm[:, None]
         ladder[:, 1:] = steps / np.linalg.norm(steps, axis=2, keepdims=True)
         # a start whose tangent is 0 has the normalized gradient alone
-        size = np.where(_row_dots(tangent, tangent) > 0.0, _LADDER, 1)
+        size = np.where(np.any(tangent != 0.0, axis=1), _LADDER, 1)
         bar = val[live] + 1e-14 * (1.0 + np.abs(val[live]))
         cand = np.full((live.size, _LADDER), -np.inf)
         # value-only sorts: through _pairings the 24-row tails need index sorts, twice the time
@@ -290,21 +291,21 @@ def _check_plan(plan: TransportPlan, mu, nu, p) -> None:
         raise InvalidSpec("plan marginals do not match the measure weights")
 
 
-def _patch_bounds(mu, nu, p, centers, steps, dist):
+def _patch_bounds(mu, nu, p, pairing, centers, steps, dist):
     """Exact center distances and certified cap bounds for each patch.
 
-    Works on one fixed monotone pairing per center: its pushforward is a
-    feasible coupling of the projections at every direction, with equality
-    at the center, so any valid sup bound on h(v)^p = sum mass |v . z|^p
-    over the cap of chord ``steps`` bounds the distance itself. h is
-    Lipschitz with the pairing's own cost dc = (sum mass |z|^p)^(1/p),
-    which gives the cap f + step * dc for every order; each |z| is read
-    from ``dist``, the (n, m) matrix of |x_i - y_j|. For p = 1 and 2 the
-    pairing's tangent gradient (``_push``) replaces dc with a local slope
-    that vanishes at a smooth maximizer, never above f + step * dc.
+    Works on ``pairing``, each center's fixed monotone pairing as
+    ``_paired_chunks`` yields it: its pushforward is a feasible coupling of
+    the projections at every direction, with equality at the center, so any
+    valid sup bound on h(v)^p = sum mass |v . z|^p over the cap of chord
+    ``steps`` bounds the distance itself. h is Lipschitz with the pairing's
+    own cost dc = (sum mass |z|^p)^(1/p), which gives the cap f + step * dc
+    for every order; each |z| is read from ``dist``, the (n, m) matrix of
+    |x_i - y_j|. For p = 1 and 2 the pairing's tangent gradient (``_push``)
+    replaces dc with a local slope that vanishes at a smooth maximizer,
+    never above f + step * dc.
     """
-    f_pp, t, mass, i, j = _pairings(_projections(mu, centers), _projections(nu, centers),
-                                    mu.weights, nu.weights, p, _equal_uniform(mu.weights, nu.weights))
+    f_pp, t, mass, i, j = pairing
     znorm = np.take(dist, np.ravel_multi_index((i, j), dist.shape))
     f = f_pp ** (1.0 / p)
 
@@ -316,9 +317,7 @@ def _patch_bounds(mu, nu, p, centers, steps, dist):
         return f, f + steps * np.sum(mass * znorm**p, axis=1) ** (1.0 / p)
     g = _push(t * mass, i, j, mu, nu)
     g -= np.einsum("rd,rd->r", g, centers)[:, None] * centers
-    # the norm squares: scaled by a power of two first, it cannot overflow, and is exact
-    e = np.frexp(np.max(np.abs(g), axis=1))[1]
-    slope = np.ldexp(np.linalg.norm(np.ldexp(g, -e[:, None]), axis=1), e)
+    slope = _scaled(lambda s: np.linalg.norm(s, axis=1), g)
     if p == 1:
         return f, f + steps * (slope + np.sum(mass * znorm * ~nonflip, axis=1))
     dc = np.sum(mass * znorm**p, axis=1) ** (1.0 / p)
@@ -367,9 +366,8 @@ def max_sliced_certified(
     Level-synchronous branch-and-bound over boxes on the cube faces
     {v_k = 1}. The first level is the d whole faces, centred on the axis
     directions; each later level halves every surviving box across its
-    longest side twice and evaluates all centers in ``_chunks`` of width
-    n + m, so each of a chunk's arrays stays within ``CHUNK_ELEMENTS``; the
-    (n, m) distance matrix that ``_patch_bounds`` reads is made once.
+    longest side twice and evaluates all centers in one ``_paired_chunks``
+    sweep; the (n, m) distance matrix that ``_patch_bounds`` reads is made once.
     Each patch upper bound is the minimum of two valid cap bounds (step
     bounds the chord from the center to the box): the center pairing's
     bound from ``_patch_bounds`` and the pushed-optimal-coupling estimate
@@ -418,8 +416,8 @@ def max_sliced_certified(
     for _ in range(200):
         centers, step = _box_geometry(lo, hi)
         fc, local_ub, hc = np.empty((3, centers.shape[0]))
-        for c in _chunks(centers.shape[0], mu.n + nu.n):
-            fc[c], local_ub[c] = _patch_bounds(mu, nu, p, centers[c], step[c], dist)
+        for c, pairing in _paired_chunks(mu, nu, p, centers):
+            fc[c], local_ub[c] = _patch_bounds(mu, nu, p, pairing, centers[c], step[c], dist)
             hc[c] = (np.abs(centers[c] @ z.T) ** p @ plan.mass) ** (1.0 / p)
         evals += centers.shape[0]
 

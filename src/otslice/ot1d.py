@@ -15,11 +15,13 @@ simplex start of :mod:`otslice.ot_exact` on two weight vectors. The
 direction scans pair R rows of projected atoms through one kernel,
 :func:`_pairings`, which returns each row's W_p^p with its pairing;
 :func:`wasserstein_pp_batch` keeps only the value, and sorts equal-size
-uniform rows by value alone. Chunks are the one memory bound: the direction
-sweeps (``sliced._projected_powers``) call it on chunks of rows whose arrays
-hold at most 2^14 elements (128 KiB, glibc's initial mmap threshold), (rows, n)
-for equal-size uniform rows and (rows, n + m) for the merge of other rows, so
-its temporaries come from the heap, not from pages that fault in on each call.
+uniform rows by value alone.
+
+Direction sweeps: SW and both max-sliced engines evaluate W_p^p(mu_v, nu_v)
+on batches of directions v in :func:`_chunks`, each projected by
+:func:`_projections`; :func:`_projected_powers` takes the values from
+:func:`wasserstein_pp_batch`, :func:`_paired_chunks` the values and pairings
+from :func:`_pairings`. The chunk widths are stated at ``CHUNK_ELEMENTS``.
 
 Quantile convention: the strict-exceedance inverse
 ``F^{-1}(t) = inf{x : mu((-inf, x]) > t}``. The distance is insensitive to
@@ -158,6 +160,16 @@ def _no_overflow():
         raise ProblemTooLarge(f"projected costs overflow float64 ({exc})") from None
 
 
+def _scaled(f, a: np.ndarray):
+    """``f(a)`` for a 1-homogeneous ``f`` that squares entries, with no overflow in the squares.
+
+    ``f`` runs on ``a`` scaled by the power of two that brings its largest entry
+    into [0.5, 1), exactly, so the result is ``f(a)`` while the squares stay normal.
+    """
+    e = np.frexp(np.abs(a).max())[1]
+    return np.ldexp(f(np.ldexp(a, -e)), e)
+
+
 def _equal_uniform(wx: np.ndarray, wy: np.ndarray) -> bool:
     """Equal-size uniform weights: the monotone coupling pairs sorted atoms one to one."""
     return wx.shape[0] == wy.shape[0] and bool((wx == wx[0]).all()) and bool((wy == wy[0]).all())
@@ -266,8 +278,7 @@ def wasserstein_pp_batch(
     their sorted atoms directly, O(n log n) per row, and reduce the gaps in
     the sorted copy of ``xs``: two temporaries, and the inputs stay
     unchanged. Other rows take the value of :func:`_pairings`,
-    O((n + m) log(n + m)) per row, through several (R, n + m) temporaries:
-    callers chunk the rows, as ``sliced._projected_powers`` does.
+    O((n + m) log(n + m)) per row. Callers chunk the rows (:func:`_projected_powers`).
     """
     _check_order(p)
     xs = np.asarray(xs, dtype=float)
@@ -282,3 +293,58 @@ def wasserstein_pp_batch(
         # what np.mean computes, without its Python wrapper
         return np.add.reduce(dx, axis=1) / dx.shape[1]
     return _pairings(xs, ys, wx, wy, p, False)[0]
+
+
+# The one memory cap of a batch of directions (``_chunks`` reads it): each
+# chunk's widest array, (rows, n) for the values of equal-size uniform rows
+# and (rows, n + m) for merges and pairings, holds at most 2^14 float64.
+# 128 KiB is glibc's initial mmap threshold, so chunk temporaries come from
+# the heap, not from fresh mmap pages that fault in on first touch. A
+# 4,096-direction d = 3 SW call took a median 20,264 minor faults (1024
+# uniform) and 7,050 (100 x 130 weighted) at 2^20, and 0 and 273 at 2^14;
+# 2^15 and up fault again on weighted rows, and 2^13 spends more on overhead.
+CHUNK_ELEMENTS = 1 << 14
+
+
+def _chunks(count: int, width: int) -> list:
+    """Slices of ``count`` rows, each (rows, width) array within ``CHUNK_ELEMENTS``.
+
+    Every slice holds at least one row, and zero rows still give one (empty) slice.
+    """
+    rows = max(1, CHUNK_ELEMENTS // width)
+    return [slice(s, s + rows) for s in range(0, max(1, count), rows)]
+
+
+def _projections(measure: DiscreteMeasure, directions: np.ndarray) -> np.ndarray:
+    """(R, n) projections, row-major so that row sorts read contiguous memory.
+
+    One row alone would take another BLAS kernel, which rounds about a
+    quarter of the entries otherwise, so it goes through twice. A row can
+    still round otherwise in batches of other row counts: with OpenBLAS at
+    n = 300, rows of R >= 16 differ in the last bit from the same rows one
+    at a time (not at n = 128 or 1024).
+    """
+    if directions.shape[0] == 1:
+        return (np.vstack([directions, directions]) @ measure.points.T)[:1]
+    return directions @ measure.points.T
+
+
+def _projected_powers(mu, nu, p, directions) -> np.ndarray:
+    """Exact W_p^p between the projections of mu and nu along each row of ``directions``."""
+    width = mu.n if _equal_uniform(mu.weights, nu.weights) else mu.n + nu.n
+    return np.concatenate([
+        wasserstein_pp_batch(_projections(mu, directions[c]), _projections(nu, directions[c]),
+                             mu.weights, nu.weights, p)
+        for c in _chunks(directions.shape[0], width)
+    ])
+
+
+def _paired_chunks(mu, nu, p, directions):
+    """Each chunk's row slice of ``directions`` with the :func:`_pairings` of its projections.
+
+    The equal-size uniform case is decided once for the whole sweep.
+    """
+    uniform = _equal_uniform(mu.weights, nu.weights)
+    for c in _chunks(directions.shape[0], mu.n + nu.n):
+        yield c, _pairings(_projections(mu, directions[c]), _projections(nu, directions[c]),
+                           mu.weights, nu.weights, p, uniform)

@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import ProblemTooLarge, SolverFailure
 from .measures import DiscreteMeasure, _check_pair
-from .ot1d import _equal_uniform, _merge_cum
-from .sliced import _chunks
+from .ot1d import _chunks, _equal_uniform, _merge_cum
 
 # Dense cost-matrix size guard.
 MAX_DENSE_CELLS = 50_000_000
@@ -232,7 +231,7 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     Each entry sums (x_ik - y_jk)^2 over k = 0..d-1 from left to right, then
     takes the square root: ``cdist``'s own order, so the matrix equals
     ``cdist(x, y) ** p`` bit for bit. Rows are filled in the blocks of
-    :func:`~otslice.sliced._chunks`, so the squared gaps are block-sized
+    :func:`~otslice.ot1d._chunks`, so the squared gaps are block-sized
     temporaries, and the root and power are taken in place on the output.
     Costs that overflow float64, or leave the solvers' sums no headroom,
     raise :class:`ProblemTooLarge`.

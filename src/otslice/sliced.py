@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .measures import DiscreteMeasure, _check_pair
-from .ot1d import _equal_uniform, _no_overflow, to_measure1d, wasserstein_1d, wasserstein_pp_batch
+from .ot1d import _no_overflow, _projected_powers, _scaled, to_measure1d, wasserstein_1d
 from .sphere import _check_grid, quadrature_grid, sample_uniform, surface_area
 
 
@@ -74,57 +74,6 @@ class SlicedEstimate:
     normalized: bool
 
 
-# Element cap on each per-chunk array of a batch of directions, the only memory
-# cap of every such batch (``_chunks`` reads it). 2^14 float64
-# are 128 KiB, glibc's initial mmap threshold, so chunk temporaries come from
-# the heap instead of fresh mmap pages that fault in on first touch and are
-# unmapped on free. A 4,096-direction SW call at d = 3 took a median 20,264
-# minor faults (n = m = 1024 uniform) and 7,050 (100 x 130 weighted) with
-# 2^20, and 0 and 273 with 2^14; 2^15 and up fault again on weighted rows,
-# and 2^13 spends more per call on chunk overhead.
-CHUNK_ELEMENTS = 1 << 14
-
-
-def _projections(measure: DiscreteMeasure, directions: np.ndarray) -> np.ndarray:
-    """(R, n) projections, row-major so that row sorts read contiguous memory.
-
-    One row alone would take another BLAS kernel, which rounds about a
-    quarter of the entries otherwise, so it goes through twice. A row can
-    still round otherwise in batches of other row counts: with OpenBLAS at
-    n = 300, rows of R >= 16 differ in the last bit from the same rows one
-    at a time (not at n = 128 or 1024).
-    """
-    if directions.shape[0] == 1:
-        return (np.vstack([directions, directions]) @ measure.points.T)[:1]
-    return directions @ measure.points.T
-
-
-def _chunks(count: int, width: int) -> list:
-    """Slices of ``count`` rows, each (rows, width) array within ``CHUNK_ELEMENTS``.
-
-    Every slice holds at least one row, and zero rows still give one (empty) slice.
-    """
-    rows = max(1, CHUNK_ELEMENTS // width)
-    return [slice(s, s + rows) for s in range(0, max(1, count), rows)]
-
-
-def _projected_powers(mu, nu, p, directions) -> np.ndarray:
-    """Exact W_p^p between the projections of mu and nu along each row of ``directions``.
-
-    Rows go through in chunks as wide as the kernel's widest array, projected
-    row-major, so each array of a chunk holds at most ``CHUNK_ELEMENTS``
-    elements (128 KiB): width n for equal-size uniform pairs, whose kernel
-    holds only (rows, n) projections and sorted copies, and n + m, the merge,
-    for other pairs.
-    """
-    width = mu.n if _equal_uniform(mu.weights, nu.weights) else mu.n + nu.n
-    return np.concatenate([
-        wasserstein_pp_batch(_projections(mu, directions[c]), _projections(nu, directions[c]),
-                             mu.weights, nu.weights, p)
-        for c in _chunks(directions.shape[0], width)
-    ])
-
-
 def _check_scheme(scheme: Scheme, d: int) -> None:
     """Raise what :func:`sliced_wasserstein` raises for ``scheme`` at dimension d.
 
@@ -175,6 +124,6 @@ def sliced_wasserstein(
         value = integral ** (1.0 / p)
         stderr = 0.0
         if scheme.kind == "monte_carlo" and integral > 0.0:
-            sem = float(np.std(powers, ddof=1) / math.sqrt(scheme.count))
+            sem = float(_scaled(lambda x: np.std(x, ddof=1), powers) / math.sqrt(scheme.count))
             stderr = factor * sem * value ** (1.0 - p) / p
         return SlicedEstimate(value=value, scheme=scheme, stderr=stderr, normalized=normalized)

@@ -1,5 +1,6 @@
 """Every name the package exports resolves: a removed class or function must
-leave ``otslice.__all__`` with it, or ``from otslice import *`` breaks. And
+leave ``otslice.__all__`` with it, or ``from otslice import *`` breaks. The
+direction sweep is bound in ``ot1d`` alone, where the tests patch it. And
 ``import otslice`` stays cheap: it does not load the slow scipy subpackages."""
 
 import os
@@ -10,11 +11,23 @@ from pathlib import Path
 import pytest
 
 import otslice
+from otslice import maxsliced, ot_exact, sliced
 
 
 @pytest.mark.parametrize("name", otslice.__all__)
 def test_exported_name_resolves(name):
     assert getattr(otslice, name) is not None
+
+
+def test_direction_sweep_is_bound_in_ot1d_alone():
+    # the chunk tests patch CHUNK_ELEMENTS, _pairings and wasserstein_pp_batch in
+    # ot1d; a copy bound in another module would leave them patching nothing
+    for module in (ot_exact, maxsliced):
+        assert not [name for name, obj in vars(module).items()
+                    if obj is sliced or getattr(obj, "__module__", None) == "otslice.sliced"]
+    sweep = {"_chunks", "_projections", "_pairings", "_equal_uniform", "CHUNK_ELEMENTS"}
+    assert not sweep & set(vars(maxsliced))
+    assert not {"CHUNK_ELEMENTS", "wasserstein_pp_batch"} & set(vars(sliced))
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():

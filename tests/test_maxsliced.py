@@ -26,11 +26,11 @@ from otslice import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from otslice import experiments, maxsliced, sliced
+from otslice import experiments, maxsliced, ot1d
 from otslice.measures import rng_stream
 from otslice.maxsliced import _ascent, _box_geometry, _halve, _patch_bounds
 from otslice.ot_exact import TransportPlan, _cost_matrix
-from otslice.sliced import _projected_powers
+from otslice.ot1d import _paired_chunks, _projected_powers
 from conftest import random_measure, random_pair
 
 
@@ -214,7 +214,7 @@ class TestLockstep:
                 mu, nu = random_pair(rng, 3, max_atoms=15, weighted=weighted)
                 whole = max_sliced(mu, nu, p, starts=20, seed=5)
                 with monkeypatch.context() as m:
-                    m.setattr(sliced, "CHUNK_ELEMENTS", 3 * 26 * 3)
+                    m.setattr(ot1d, "CHUNK_ELEMENTS", 3 * 26 * 3)
                     split = max_sliced(mu, nu, p, starts=20, seed=5)
                 assert (split.lower, split.evaluations) == (whole.lower, whole.evaluations)
                 assert np.array_equal(split.v_star, whole.v_star)
@@ -222,7 +222,7 @@ class TestLockstep:
     def test_gradient_chunks_stay_within_budget(self, rng, monkeypatch):
         # the ascent's gradients pair (rows, n + m) chunks; each chunk's
         # pairing arrays and the (rows, n) and (rows, m) atom sums of _push fit the cap
-        pairings, bincount = maxsliced._pairings, np.bincount
+        pairings, bincount = ot1d._pairings, np.bincount
         for m in (200, 150):
             mu = make_discrete(rng.standard_normal((200, 3)))
             nu = make_discrete(rng.standard_normal((m, 3)),
@@ -241,14 +241,14 @@ class TestLockstep:
                 return out
 
             with monkeypatch.context() as patch:
-                patch.setattr(maxsliced, "_pairings", record)
+                patch.setattr(ot1d, "_pairings", record)
                 patch.setattr(np, "bincount", record_bincount)
                 max_sliced(mu, nu, 1.0, starts=60, seed=3)
-            rows = sliced.CHUNK_ELEMENTS // (mu.n + nu.n)
+            rows = ot1d.CHUNK_ELEMENTS // (mu.n + nu.n)
             # the 63 first gradients outgrow one chunk, and no chunk is wider than the cap allows
-            assert max(seen) == rows and rows * (mu.n + nu.n) <= sliced.CHUNK_ELEMENTS
+            assert max(seen) == rows and rows * (mu.n + nu.n) <= ot1d.CHUNK_ELEMENTS
             assert rows * mu.n in sizes and rows * nu.n in sizes
-            assert max(sizes) <= sliced.CHUNK_ELEMENTS
+            assert max(sizes) <= ot1d.CHUNK_ELEMENTS
 
     def test_start_blocks_change_nothing(self, rng, monkeypatch):
         # 303 starts at d = 3 under the default cap and under one wide enough that
@@ -266,7 +266,7 @@ class TestLockstep:
         assert seen[0] == 303
         seen.clear()
         with monkeypatch.context() as m:
-            m.setattr(sliced, "CHUNK_ELEMENTS", 303 * 26 * 3)
+            m.setattr(ot1d, "CHUNK_ELEMENTS", 303 * 26 * 3)
             whole = max_sliced(mu, nu, 1.5, starts=300, seed=9)
         assert seen[0] == 303
         assert (split.lower, split.evaluations) == (whole.lower, whole.evaluations)
@@ -459,7 +459,7 @@ class TestCertified:
             mu, nu = random_pair(rng, 3, max_atoms=10)
             whole = max_sliced_certified(mu, nu, p, tol=1e-4)
             with monkeypatch.context() as m:
-                m.setattr(sliced, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n))
+                m.setattr(ot1d, "CHUNK_ELEMENTS", 3 * (mu.n + nu.n))
                 split = max_sliced_certified(mu, nu, p, tol=1e-4)
             assert whole.evaluations > 12
             assert (split.lower, split.upper, split.evaluations) == (
@@ -474,9 +474,9 @@ class TestCertified:
         nu = random_measure(rng, 3, max_atoms=200)
         seen, sizes = [], []
 
-        def record(mu, nu, p, centers, steps, dist):
+        def record(mu, nu, p, pairing, centers, steps, dist):
             seen.append(centers.shape[0])
-            return bounds(mu, nu, p, centers, steps, dist)
+            return bounds(mu, nu, p, pairing, centers, steps, dist)
 
         def record_pairings(pa, pb, wa, wb, p, uniform):
             out = pairings(pa, pb, wa, wb, p, uniform)
@@ -488,18 +488,18 @@ class TestCertified:
             sizes.append(out.size)
             return out
 
-        bounds, pairings, bincount = maxsliced._patch_bounds, maxsliced._pairings, np.bincount
+        bounds, pairings, bincount = maxsliced._patch_bounds, ot1d._pairings, np.bincount
         monkeypatch.setattr(maxsliced, "_patch_bounds", record)
-        monkeypatch.setattr(maxsliced, "_pairings", record_pairings)
+        monkeypatch.setattr(ot1d, "_pairings", record_pairings)
         monkeypatch.setattr(np, "bincount", record_bincount)
         res = max_sliced_certified(mu, nu, 2.0, tol=1e-4)
         monkeypatch.undo()
         assert sum(seen) == res.evaluations
-        rows = sliced.CHUNK_ELEMENTS // (mu.n + nu.n)
+        rows = ot1d.CHUNK_ELEMENTS // (mu.n + nu.n)
         # the levels outgrow one chunk, and no chunk is wider than the cap allows
-        assert max(seen) == rows and rows * (mu.n + nu.n) <= sliced.CHUNK_ELEMENTS
+        assert max(seen) == rows and rows * (mu.n + nu.n) <= ot1d.CHUNK_ELEMENTS
         assert rows * mu.n in sizes and rows * nu.n in sizes
-        assert max(sizes) <= sliced.CHUNK_ELEMENTS
+        assert max(sizes) <= ot1d.CHUNK_ELEMENTS
 
     def test_budget_exceeded_at_d5(self, rng):
         mu, nu = random_pair(rng, 5, max_atoms=10)
@@ -624,7 +624,8 @@ class TestPatchBounds:
                 steps = rng.uniform(0.0, 0.2, 50)
                 dist = _cost_matrix(mu.points, nu.points, 1.0)
                 for p in (1.0, 1.5, 2.0):
-                    f, ub = _patch_bounds(mu, nu, p, centers, steps, dist)
+                    [(_, pairing)] = _paired_chunks(mu, nu, p, centers)
+                    f, ub = _patch_bounds(mu, nu, p, pairing, centers, steps, dist)
                     assert np.array_equal(f, _projected_powers(mu, nu, p, centers) ** (1 / p))
                     assert np.all(ub >= f)
 
@@ -803,3 +804,23 @@ class TestOverflow:
             res = max_sliced_certified(mu, nu, 2.0, 1e-3 * spread)
         assert res.lower <= w
         assert res.lower <= res.upper <= res.lower + 1e-3 * spread
+
+    @pytest.mark.parametrize("spread", [1e80, 1e150])
+    def test_ascent_and_monte_carlo_do_not_overflow(self, spread):
+        # the ascent's gradient norms and the Monte Carlo stderr square values whose
+        # squares overflow although no projected cost does: ProblemTooLarge
+        gen = np.random.default_rng(0)
+        mu = make_discrete(gen.standard_normal((6, 2)) * spread)
+        nu = make_discrete(gen.standard_normal((6, 2)) * spread)
+        mu4 = make_discrete(gen.standard_normal((6, 4)) * spread)
+        nu4 = make_discrete(gen.standard_normal((6, 4)) * spread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = wasserstein_exact(mu, nu, 2.0).primal_value
+            axis = [projected_distance(mu, nu, 2.0, e) for e in np.eye(2)]
+            heuristic = max_sliced(mu, nu, 2.0).lower
+            _, ascent = direction_ascent(mu, nu, 2.0, [1.0, 0.0])
+            est = sliced_wasserstein(mu4, nu4, 2.0, Scheme.monte_carlo(64))
+        assert max(axis) * (1.0 - 1e-12) <= heuristic <= w
+        assert axis[0] * (1.0 - 1e-12) <= ascent <= w
+        assert math.isfinite(est.value) and 0.0 < est.stderr < est.value

@@ -9,7 +9,7 @@ from otslice import (make_discrete, max_sliced, max_sliced_certified, moment_p,
                      projected_distance, wasserstein_exact)
 from otslice.maxsliced import _patch_bounds
 from otslice.ot_exact import _cost_matrix
-from otslice.sliced import _projected_powers
+from otslice.ot1d import _paired_chunks, _projected_powers
 
 CAPS = 48  # sampled directions per cap, half of them on its rim
 
@@ -21,15 +21,22 @@ def lattice_pairs(draw):
     Lattice atoms tie along the axes and repeat; integer weights that may be 0
     give zero-weight atoms; n = 1 is allowed. Some pairs are equal-size and
     uniform, which takes the argsort pairing instead of the weighted merge.
+    Some pairs in d = 3 are collinear: every atom of both clouds is an integer
+    multiple of one lattice vector plus a shift they share.
     """
     d = draw(st.sampled_from([2, 3, 4]))
     uniform = draw(st.booleans())
     n = draw(st.integers(1, 7))
     m = n if uniform else draw(st.integers(1, 7))
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    line = (draw(vector.filter(any)), draw(vector)) if d == 3 and draw(st.booleans()) else None
 
     def cloud(size):
-        pts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
-                            min_size=size, max_size=size))
+        if line:
+            k = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+            pts = np.outer(k, line[0]) + line[1]
+        else:
+            pts = draw(st.lists(vector, min_size=size, max_size=size))
         if uniform:
             return make_discrete(np.array(pts, dtype=float) / 2, None)
         w = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
@@ -72,7 +79,9 @@ class TestCapBounds:
         d = mu.dim
         centers, dirs = centers_and_caps(d, step, np.random.default_rng(seed))
         steps = np.full(centers.shape[0], step)
-        f, ub = _patch_bounds(mu, nu, p, centers, steps, _cost_matrix(mu.points, nu.points, 1.0))
+        [(_, pairing)] = _paired_chunks(mu, nu, p, centers)
+        f, ub = _patch_bounds(mu, nu, p, pairing, centers, steps,
+                              _cost_matrix(mu.points, nu.points, 1.0))
 
         # every direction in a cap stays below its bound; the span term covers
         # projection rounding (one atom projected in two differently shaped
@@ -100,8 +109,9 @@ class TestProjectionPaths:
         # |t|^p otherwise), so a center's value is bit-equal whichever computes it
         mu, nu = scaled(pair[0], scale), scaled(pair[1], scale)
         centers, _ = centers_and_caps(mu.dim, 0.1, np.random.default_rng(seed))
-        f, _ = _patch_bounds(mu, nu, p, centers, np.full(centers.shape[0], 0.1),
-                            _cost_matrix(mu.points, nu.points, 1.0))
+        [(_, pairing)] = _paired_chunks(mu, nu, p, centers)
+        f, _ = _patch_bounds(mu, nu, p, pairing, centers, np.full(centers.shape[0], 0.1),
+                             _cost_matrix(mu.points, nu.points, 1.0))
         assert np.array_equal(f, _projected_powers(mu, nu, p, centers) ** (1 / p))
 
 

@@ -23,7 +23,7 @@ from otslice import (
 from otslice import ot_exact
 from otslice.ot1d import monotone_coupling
 from otslice.ot_exact import _cost_matrix, _meets_marginals, _solve_simplex
-from otslice.sliced import CHUNK_ELEMENTS
+from otslice.ot1d import CHUNK_ELEMENTS
 from conftest import random_measure, random_pair
 
 

@@ -17,7 +17,7 @@ from otslice import (
     to_measure1d,
     wasserstein_1d,
 )
-from otslice import sliced
+from otslice import ot1d, sliced
 from conftest import random_measure, random_pair
 
 
@@ -67,7 +67,7 @@ class TestSlicedBasics:
             for scheme in (Scheme.quadrature(1000), Scheme.monte_carlo(1000, seed=2)):
                 for p in (1.0, 1.5, 2.0):
                     whole = sliced_wasserstein(mu, nu, p, scheme)
-                    monkeypatch.setattr(sliced, "CHUNK_ELEMENTS", 100 * (mu.n + nu.n))
+                    monkeypatch.setattr(ot1d, "CHUNK_ELEMENTS", 100 * (mu.n + nu.n))
                     split = sliced_wasserstein(mu, nu, p, scheme)
                     monkeypatch.undo()
                     assert (split.value, split.stderr) == (whole.value, whole.stderr)
@@ -85,17 +85,17 @@ class TestSlicedBasics:
             seen.append((xs.shape[0], xs.nbytes, ys.nbytes))
             return batch(xs, ys, wx, wy, p)
 
-        batch = sliced.wasserstein_pp_batch
-        monkeypatch.setattr(sliced, "wasserstein_pp_batch", record)
+        batch = ot1d.wasserstein_pp_batch
+        monkeypatch.setattr(ot1d, "wasserstein_pp_batch", record)
         sliced_wasserstein(mu, nu, 2.0, Scheme.monte_carlo(4096, seed=3))
-        assert sliced.CHUNK_ELEMENTS * 8 <= 128 * 1024
+        assert ot1d.CHUNK_ELEMENTS * 8 <= 128 * 1024
         assert sum(rows for rows, _, _ in seen) == 4096
         width = n + m if weighted else n
-        assert len(seen) == -(-4096 // (sliced.CHUNK_ELEMENTS // width))
+        assert len(seen) == -(-4096 // (ot1d.CHUNK_ELEMENTS // width))
         if weighted:
-            assert all(bx + by <= sliced.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
+            assert all(bx + by <= ot1d.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
         else:
-            assert all(max(bx, by) <= sliced.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
+            assert all(max(bx, by) <= ot1d.CHUNK_ELEMENTS * 8 for _, bx, by in seen)
 
     @pytest.mark.parametrize("n, m, weighted", [(25, 25, False), (1024, 1024, False), (20, 30, True)])
     def test_trailing_one_row_chunk(self, rng, monkeypatch, n, m, weighted):
@@ -103,7 +103,7 @@ class TestSlicedBasics:
         # sends through as two, so it rounds as it does inside a single chunk
         mu = make_discrete(rng.standard_normal((n, 3)), rng.dirichlet(np.ones(n)) if weighted else None)
         nu = make_discrete(rng.standard_normal((m, 3)), rng.dirichlet(np.ones(m)) if weighted else None)
-        rows = sliced.CHUNK_ELEMENTS // (n + m if weighted else n)
+        rows = ot1d.CHUNK_ELEMENTS // (n + m if weighted else n)
         dirs = np.random.default_rng(4).standard_normal((3 * rows + 1, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         seen = []
@@ -112,14 +112,14 @@ class TestSlicedBasics:
             seen.append(xs.shape[0])
             return batch(xs, ys, wx, wy, p)
 
-        batch = sliced.wasserstein_pp_batch
+        batch = ot1d.wasserstein_pp_batch
         with monkeypatch.context() as patch:
-            patch.setattr(sliced, "wasserstein_pp_batch", record)
-            split = sliced._projected_powers(mu, nu, 1.5, dirs)
+            patch.setattr(ot1d, "wasserstein_pp_batch", record)
+            split = ot1d._projected_powers(mu, nu, 1.5, dirs)
         assert seen == [rows, rows, rows, 1]
         with monkeypatch.context() as patch:
-            patch.setattr(sliced, "CHUNK_ELEMENTS", dirs.shape[0] * (n + m))
-            whole = sliced._projected_powers(mu, nu, 1.5, dirs)
+            patch.setattr(ot1d, "CHUNK_ELEMENTS", dirs.shape[0] * (n + m))
+            whole = ot1d._projected_powers(mu, nu, 1.5, dirs)
         assert np.array_equal(split, whole)
 
     def test_d1_exact(self, rng):
